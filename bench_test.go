@@ -79,16 +79,6 @@ func BenchmarkSweepJ2(b *testing.B)       { benchSweepAll(b, 2) }
 func BenchmarkSweepJ4(b *testing.B)       { benchSweepAll(b, 4) }
 func BenchmarkSweepParallel(b *testing.B) { benchSweepAll(b, 8) }
 
-// BenchmarkSweepParallelGoroutine is the same sweep pinned to the legacy
-// goroutine engine — the before/after pair for the calendar engine's
-// speedup (DESIGN.md §8). The differential tests assert the outputs are
-// byte-identical; this pair shows the wall-clock gap.
-func BenchmarkSweepParallelGoroutine(b *testing.B) {
-	core.SetEngine(vmpi.EngineGoroutine)
-	defer core.SetEngine("")
-	benchSweepAll(b, 8)
-}
-
 // BenchmarkSweepEnsemble times a noise-ensemble sweep: fig7 (the lightest
 // experiment whose points run real vmpi compute phases) at 5 replicas
 // under a seeded jitter spec on 8 workers, every iteration from a cold
@@ -98,12 +88,7 @@ func BenchmarkSweepEnsemble(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	core.SetNoise(spec)
-	core.SetReplicas(5)
-	defer func() {
-		core.SetNoise(nil)
-		core.SetReplicas(0)
-	}()
+	defer core.Configure(core.Configure(core.RunConfig{Noise: spec, Replicas: 5}))
 	e, err := core.Lookup("fig7")
 	if err != nil {
 		b.Fatal(err)
@@ -201,36 +186,24 @@ func BenchmarkRealMDStep(b *testing.B) {
 // --- Engine benchmarks ---
 
 // BenchmarkEngineAlltoall measures the virtual-time engine's throughput on
-// a communication-heavy pattern (256 ranks, full exchange). The engine
-// parameter selects the execution engine under test: the default
-// event-calendar scheduler or the legacy goroutine central loop.
-func benchEngineAlltoall(b *testing.B, eng vmpi.Engine) {
+// a communication-heavy pattern (256 ranks, full exchange).
+func BenchmarkEngineAlltoall(b *testing.B) {
 	cl := machine.NewSingleNode(machine.AltixBX2b)
 	for i := 0; i < b.N; i++ {
-		vmpi.Run(vmpi.Config{Cluster: cl, Procs: 256, Engine: eng}, func(c par.Comm) {
+		vmpi.Run(vmpi.Config{Cluster: cl, Procs: 256}, func(c par.Comm) {
 			par.AlltoallBytes(c, 4096)
 		})
 	}
 }
 
-func BenchmarkEngineAlltoall(b *testing.B) { benchEngineAlltoall(b, vmpi.EngineCalendar) }
-func BenchmarkEngineAlltoallGoroutine(b *testing.B) {
-	benchEngineAlltoall(b, vmpi.EngineGoroutine)
-}
-
 // BenchmarkEngine2048Ranks measures scheduler cost at the paper's largest
 // configuration.
-func benchEngine2048(b *testing.B, eng vmpi.Engine) {
+func BenchmarkEngine2048Ranks(b *testing.B) {
 	cl := machine.NewBX2bQuad()
 	w := md.PaperWeakScaling()
 	for i := 0; i < b.N; i++ {
-		vmpi.Run(vmpi.Config{Cluster: cl, Procs: 2048, Nodes: 4, Engine: eng}, w.Skeleton(2048))
+		vmpi.Run(vmpi.Config{Cluster: cl, Procs: 2048, Nodes: 4}, w.Skeleton(2048))
 	}
-}
-
-func BenchmarkEngine2048Ranks(b *testing.B) { benchEngine2048(b, vmpi.EngineCalendar) }
-func BenchmarkEngine2048RanksGoroutine(b *testing.B) {
-	benchEngine2048(b, vmpi.EngineGoroutine)
 }
 
 // --- Ablation benchmarks (DESIGN.md §4) ---

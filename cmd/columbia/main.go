@@ -19,7 +19,6 @@
 //	columbia -timeout 30s all                  bound each sweep point's wall clock
 //	columbia -max-retries 2 -faults ... all    retry retryable failures
 //	columbia -commsan run fig8                 run under the communication sanitizer
-//	columbia -engine goroutine run fig5        select the vmpi execution engine
 //	columbia -workers 2 -faults wkill=3 all    chaos: each worker dies after 3 points
 //
 // Performance-noise ensembles (see DESIGN.md, "Performance noise and
@@ -61,7 +60,6 @@ import (
 	"columbia/internal/noise"
 	"columbia/internal/report"
 	"columbia/internal/sweep"
-	"columbia/internal/vmpi"
 )
 
 func main() {
@@ -94,29 +92,38 @@ func workerMain() int {
 	}
 }
 
-// workerSetup applies the handshake's run configuration to this process's
-// globals — the same setters the supervisor-side CLI flags use — so the
+// workerSetup installs the handshake's run configuration in this process —
+// the same core.RunConfig the supervisor-side CLI flags build — so the
 // worker stamps identical fingerprints into identical cache keys.
 func workerSetup(h dist.Hello) (dist.Executor, error) {
-	if h.Faults != "" {
-		plan, err := fault.Parse(h.Faults)
-		if err != nil {
-			return nil, err
-		}
-		core.SetFaultPlan(plan)
+	rc, err := runConfig(h.Faults, h.Noise, h.Commsan)
+	if err != nil {
+		return nil, err
 	}
-	core.SetSanitize(h.Commsan)
-	if h.Engine != "" {
-		core.SetEngine(vmpi.Engine(h.Engine))
-	}
-	if h.Noise != "" {
-		spec, err := noise.Parse(h.Noise)
-		if err != nil {
-			return nil, err
-		}
-		core.SetNoise(spec)
-	}
+	core.Configure(rc)
 	return core.ExecutePoint, nil
+}
+
+// runConfig parses the fault plan and noise spec (empty means none) into
+// one run configuration. The replica count is the CLI's alone: workers
+// receive each replica index inside its point spec.
+func runConfig(faults, noiseSpec string, sanitize bool) (core.RunConfig, error) {
+	rc := core.RunConfig{Sanitize: sanitize}
+	if faults != "" {
+		plan, err := fault.Parse(faults)
+		if err != nil {
+			return rc, err
+		}
+		rc.Faults = plan
+	}
+	if noiseSpec != "" {
+		spec, err := noise.Parse(noiseSpec)
+		if err != nil {
+			return rc, err
+		}
+		rc.Noise = spec
+	}
+	return rc, nil
 }
 
 // workerProc adapts an os/exec worker to dist.Proc: Write feeds its stdin,
@@ -169,12 +176,13 @@ type rendered struct {
 	kinds    map[string]int
 }
 
-// run is the testable entry point: it parses argv, configures the sweep
-// pool, fault plan and (optionally) the worker fleet, executes the
-// requested experiments and returns the process exit code (0 healthy, 1 on
-// any failed point, bad ID or interruption, 2 usage). Canceling ctx —
-// main wires SIGINT/SIGTERM to it — drains the run: started points fail as
-// "!canceled" cells, workers shut down, partial output is flushed.
+// run is the testable entry point: it parses and validates argv, installs
+// the sweep pool, one core.RunConfig (restored on return) and (optionally)
+// the worker fleet, executes the requested experiments and returns the
+// process exit code (0 healthy, 1 on any failed point, bad ID or
+// interruption, 2 usage). Canceling ctx — main wires SIGINT/SIGTERM to it
+// — drains the run: started points fail as "!canceled" cells, workers shut
+// down, partial output is flushed.
 func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("columbia", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -188,12 +196,11 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		maxRetries = fs.Int("max-retries", 0, "retries for retryable point failures (timeouts, transient faults, worker crashes)")
 		faultSpec  = fs.String("faults", "", "comma-separated fault plan, e.g. nodedown=0,slownode=1:1.5,wkill=2 (see DESIGN.md)")
 		commsan    = fs.Bool("commsan", false, "run every simulation under the communication sanitizer (races, unmatched traffic, collective mismatches fail as !sanitizer cells)")
-		engineSel  = fs.String("engine", "", "vmpi execution engine: calendar (default) or goroutine (the legacy central-loop scheduler; byte-identical output, see DESIGN.md §8)")
 		noiseSpec  = fs.String("noise", "", "comma-separated performance-noise spec, e.g. jitter=exp:0.05,daemon=0.01:0.2:3:2,seed=7 (see DESIGN.md §13)")
 		replicaCnt = fs.Int("replicas", 1, "noise-ensemble size: run every sweep point N times with distinct replica indices and report min/avg/max cells (needs -noise to draw distinct samples)")
 	)
 	usage := func() int {
-		fmt.Fprintln(stderr, "usage: columbia [-csv] [-plot] [-j N] [-workers N] [-timeout D] [-max-retries N] [-faults SPEC] [-noise SPEC] [-replicas N] [-commsan] [-engine NAME] {list | all | run <id>...}")
+		fmt.Fprintln(stderr, "usage: columbia [-csv] [-plot] [-j N] [-workers N] [-timeout D] [-max-retries N] [-faults SPEC] [-noise SPEC] [-replicas N] [-commsan] {list | all | run <id>...}")
 		return 2
 	}
 	if err := fs.Parse(argv); err != nil {
@@ -202,56 +209,22 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	if *workerMode {
 		return workerMain()
 	}
-	sweep.Configure(ctx, sweep.Options{
-		Workers:    *jobs,
-		Timeout:    *timeout,
-		MaxRetries: *maxRetries,
-	})
-	faultsFP := ""
-	if *faultSpec != "" {
-		plan, err := fault.Parse(*faultSpec)
-		if err != nil {
-			fmt.Fprintln(stderr, "columbia:", err)
-			return 2
-		}
-		core.SetFaultPlan(plan)
-		defer core.SetFaultPlan(nil)
-		faultsFP = plan.Fingerprint()
-	}
-	if *commsan {
-		core.SetSanitize(true)
-		defer core.SetSanitize(false)
-	}
-	if *engineSel != "" {
-		switch e := vmpi.Engine(*engineSel); e {
-		case vmpi.EngineCalendar, vmpi.EngineGoroutine:
-			core.SetEngine(e)
-			defer core.SetEngine("")
-		default:
-			fmt.Fprintf(stderr, "columbia: unknown engine %q (valid: %s, %s)\n",
-				*engineSel, vmpi.EngineCalendar, vmpi.EngineGoroutine)
-			return 2
-		}
-	}
-	noiseFP := ""
-	if *noiseSpec != "" {
-		spec, err := noise.Parse(*noiseSpec)
-		if err != nil {
-			fmt.Fprintln(stderr, "columbia:", err)
-			return 2
-		}
-		core.SetNoise(spec)
-		defer core.SetNoise(nil)
-		noiseFP = spec.Fingerprint()
+	rc, err := runConfig(*faultSpec, *noiseSpec, *commsan)
+	if err != nil {
+		fmt.Fprintln(stderr, "columbia:", err)
+		return 2
 	}
 	if *replicaCnt < 1 {
 		fmt.Fprintln(stderr, "columbia: -replicas must be at least 1")
 		return 2
 	}
-	if *replicaCnt > 1 {
-		core.SetReplicas(*replicaCnt)
-		defer core.SetReplicas(0)
-	}
+	rc.Replicas = *replicaCnt
+	sweep.Configure(ctx, sweep.Options{
+		Workers:    *jobs,
+		Timeout:    *timeout,
+		MaxRetries: *maxRetries,
+	})
+	defer core.Configure(core.Configure(rc))
 	var fleet *dist.Supervisor
 	if *workers > 0 {
 		exe, err := os.Executable()
@@ -263,10 +236,9 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			Workers: *workers,
 			Spawn:   func() (dist.Proc, error) { return spawnWorker(exe, stderr) },
 			Hello: dist.Hello{
-				Faults:    faultsFP,
-				Commsan:   *commsan,
-				Noise:     noiseFP,
-				Engine:    *engineSel,
+				Faults:    rc.Faults.Fingerprint(),
+				Commsan:   rc.Sanitize,
+				Noise:     rc.Noise.Fingerprint(),
 				Timeout:   *timeout,
 				Heartbeat: workerHeartbeat,
 			},

@@ -20,18 +20,32 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// Runs mutate the process-global sweep pool and fault plan; restore the
-// defaults so test order never matters.
-func resetGlobals() { sweep.SetWorkers(0) }
+// runCLI runs the command and returns its exit code, stdout and stderr.
+// A run replaces the process-global sweep pool, which runCLI resets so test
+// order never matters, and installs a core.RunConfig, which it must restore
+// on return: runCLI fails the test if any flag leaks into the run config.
+func runCLI(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	return runCLICtx(t, context.Background(), args...)
+}
+
+// runCLICtx is runCLI under ctx.
+func runCLICtx(t *testing.T, ctx context.Context, args ...string) (int, string, string) {
+	t.Helper()
+	defer sweep.SetWorkers(0)
+	var out, errOut strings.Builder
+	code := run(ctx, args, &out, &errOut)
+	if rc := core.Current(); rc != (core.RunConfig{}) {
+		t.Errorf("columbia %s leaked its run config: %+v", strings.Join(args, " "), rc)
+	}
+	return code, out.String(), errOut.String()
+}
 
 func TestFaultedRunExitsNonzeroWithAnnotatedCells(t *testing.T) {
-	defer resetGlobals()
-	var out, errOut strings.Builder
-	code := run(context.Background(), []string{"-faults", "nodedown=0", "run", "stride"}, &out, &errOut)
+	code, s, errOut := runCLI(t, "-faults", "nodedown=0", "run", "stride")
 	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\nstderr: %s", code, errOut.String())
+		t.Fatalf("exit code = %d, want 1\nstderr: %s", code, errOut)
 	}
-	s := out.String()
 	// Healthy analytic rows render alongside the degraded simulation row.
 	if !strings.Contains(s, "DGEMM per-CPU") {
 		t.Errorf("healthy rows missing:\n%s", s)
@@ -39,129 +53,77 @@ func TestFaultedRunExitsNonzeroWithAnnotatedCells(t *testing.T) {
 	if !strings.Contains(s, "!node-down") {
 		t.Errorf("degraded cells missing:\n%s", s)
 	}
-	if !strings.Contains(errOut.String(), "3 point(s) failed") {
-		t.Errorf("stderr summary missing: %q", errOut.String())
+	if !strings.Contains(errOut, "3 point(s) failed") {
+		t.Errorf("stderr summary missing: %q", errOut)
 	}
 }
 
 func TestHealthyRunExitsZero(t *testing.T) {
-	defer resetGlobals()
-	var out, errOut strings.Builder
-	code := run(context.Background(), []string{"run", "table1", "stride"}, &out, &errOut)
+	code, out, errOut := runCLI(t, "run", "table1", "stride")
 	if code != 0 {
-		t.Fatalf("exit code = %d, want 0\nstderr: %s", code, errOut.String())
+		t.Fatalf("exit code = %d, want 0\nstderr: %s", code, errOut)
 	}
 	for _, want := range []string{"== table1:", "== stride:", "Ping-Pong latency"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q:\n%s", want, out.String())
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	if errOut.Len() != 0 {
-		t.Errorf("stderr not empty on a healthy run: %q", errOut.String())
+	if errOut != "" {
+		t.Errorf("stderr not empty on a healthy run: %q", errOut)
 	}
 }
 
 func TestBadFaultSpecIsUsageError(t *testing.T) {
-	defer resetGlobals()
-	var out, errOut strings.Builder
-	if code := run(context.Background(), []string{"-faults", "bogus=1", "run", "stride"}, &out, &errOut); code != 2 {
+	code, _, errOut := runCLI(t, "-faults", "bogus=1", "run", "stride")
+	if code != 2 {
 		t.Fatalf("exit code = %d, want 2", code)
 	}
-	if !strings.Contains(errOut.String(), "bogus") {
-		t.Errorf("stderr should name the bad directive: %q", errOut.String())
+	if !strings.Contains(errOut, "bogus") {
+		t.Errorf("stderr should name the bad directive: %q", errOut)
 	}
 }
 
 func TestBadExperimentIDExitsOne(t *testing.T) {
-	defer resetGlobals()
-	var out, errOut strings.Builder
-	if code := run(context.Background(), []string{"run", "nope"}, &out, &errOut); code != 1 {
+	code, _, errOut := runCLI(t, "run", "nope")
+	if code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
-	if !strings.Contains(errOut.String(), "unknown experiment") {
-		t.Errorf("stderr: %q", errOut.String())
+	if !strings.Contains(errOut, "unknown experiment") {
+		t.Errorf("stderr: %q", errOut)
 	}
 }
 
 func TestCommsanRunMatchesPlain(t *testing.T) {
-	defer resetGlobals()
-	var plain, plainErr strings.Builder
-	if code := run(context.Background(), []string{"run", "stride"}, &plain, &plainErr); code != 0 {
-		t.Fatalf("plain run exit = %d\nstderr: %s", code, plainErr.String())
+	code, plain, errOut := runCLI(t, "run", "stride")
+	if code != 0 {
+		t.Fatalf("plain run exit = %d\nstderr: %s", code, errOut)
 	}
-	var san, sanErr strings.Builder
-	if code := run(context.Background(), []string{"-commsan", "run", "stride"}, &san, &sanErr); code != 0 {
-		t.Fatalf("-commsan run exit = %d\nstderr: %s", code, sanErr.String())
+	code, san, errOut := runCLI(t, "-commsan", "run", "stride")
+	if code != 0 {
+		t.Fatalf("-commsan run exit = %d\nstderr: %s", code, errOut)
 	}
-	if plain.String() != san.String() {
-		t.Errorf("-commsan perturbed the output\n--- plain ---\n%s\n--- commsan ---\n%s",
-			plain.String(), san.String())
-	}
-	// The deferred reset must leave the toggle off for later runs.
-	if core.Sanitize() {
-		t.Error("-commsan leaked: sanitizer still on after run returned")
-	}
-}
-
-func TestEngineFlagMatchesDefault(t *testing.T) {
-	defer resetGlobals()
-	var cal, calErr strings.Builder
-	if code := run(context.Background(), []string{"run", "table2"}, &cal, &calErr); code != 0 {
-		t.Fatalf("default run exit = %d\nstderr: %s", code, calErr.String())
-	}
-	var gor, gorErr strings.Builder
-	if code := run(context.Background(), []string{"-engine", "goroutine", "run", "table2"}, &gor, &gorErr); code != 0 {
-		t.Fatalf("-engine goroutine exit = %d\nstderr: %s", code, gorErr.String())
-	}
-	if cal.String() != gor.String() {
-		t.Errorf("-engine goroutine perturbed the output\n--- calendar ---\n%s\n--- goroutine ---\n%s",
-			cal.String(), gor.String())
-	}
-	// The deferred reset must leave the selector at the default.
-	if core.EngineSelector() != "" {
-		t.Errorf("-engine leaked: selector = %q after run returned", core.EngineSelector())
-	}
-}
-
-func TestBadEngineIsUsageError(t *testing.T) {
-	defer resetGlobals()
-	var out, errOut strings.Builder
-	if code := run(context.Background(), []string{"-engine", "bogus", "run", "table1"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit code = %d, want 2 (usage error)", code)
-	}
-	if !strings.Contains(errOut.String(), "unknown engine") {
-		t.Errorf("stderr %q does not name the bad engine", errOut.String())
+	if plain != san {
+		t.Errorf("-commsan perturbed the output\n--- plain ---\n%s\n--- commsan ---\n%s", plain, san)
 	}
 }
 
 func TestTimeoutFlagParses(t *testing.T) {
-	defer resetGlobals()
-	var out, errOut strings.Builder
 	// A generous per-point budget must not perturb a healthy run.
-	if code := run(context.Background(), []string{"-timeout", "5m", "-max-retries", "1", "run", "table1"}, &out, &errOut); code != 0 {
-		t.Fatalf("exit code = %d, want 0\nstderr: %s", code, errOut.String())
+	if code, _, errOut := runCLI(t, "-timeout", "5m", "-max-retries", "1", "run", "table1"); code != 0 {
+		t.Fatalf("exit code = %d, want 0\nstderr: %s", code, errOut)
 	}
-}
-
-// runCLI is a convenience wrapper returning code, stdout and stderr.
-func runCLI(args ...string) (int, string, string) {
-	var out, errOut strings.Builder
-	code := run(context.Background(), args, &out, &errOut)
-	return code, out.String(), errOut.String()
 }
 
 // TestWorkersByteIdentity: the supervised multi-process sweep produces the
 // exact bytes of the serial run for every fleet size.
 func TestWorkersByteIdentity(t *testing.T) {
-	defer resetGlobals()
 	args := []string{"run", "table1", "stride"}
-	code, serial, _ := runCLI(args...)
+	code, serial, _ := runCLI(t, args...)
 	if code != 0 {
 		t.Fatalf("serial exit = %d", code)
 	}
 	for _, w := range []string{"2", "4"} {
-		resetGlobals()
-		code, out, errOut := runCLI(append([]string{"-workers", w}, args...)...)
+		code, out, errOut := runCLI(t, append([]string{"-workers", w}, args...)...)
 		if code != 0 {
 			t.Fatalf("-workers %s exit = %d\nstderr: %s", w, code, errOut)
 		}
@@ -176,15 +138,12 @@ func TestWorkersByteIdentity(t *testing.T) {
 // completable yields byte-identical output — crashes are invisible in
 // stdout, visible only in the stderr fleet summary.
 func TestWorkersChaosByteIdentity(t *testing.T) {
-	defer resetGlobals()
 	for _, chaos := range []string{"wkill=1", "wkill=1,wtrunc=2", "wcorrupt=2"} {
-		resetGlobals()
-		code, serial, _ := runCLI("-faults", chaos, "run", "stride")
+		code, serial, _ := runCLI(t, "-faults", chaos, "run", "stride")
 		if code != 0 {
 			t.Fatalf("serial chaos run exit = %d", code)
 		}
-		resetGlobals()
-		code, out, errOut := runCLI("-workers", "2", "-faults", chaos, "run", "stride")
+		code, out, errOut := runCLI(t, "-workers", "2", "-faults", chaos, "run", "stride")
 		if code != 0 {
 			t.Fatalf("chaos %q exit = %d\nstderr: %s", chaos, code, errOut)
 		}
@@ -204,17 +163,15 @@ func TestWorkersChaosByteIdentity(t *testing.T) {
 // spec, and both sides derive identical cache keys. A chaos schedule that
 // crashes workers mid-ensemble must not perturb a single byte either.
 func TestNoiseEnsembleWorkersByteIdentity(t *testing.T) {
-	defer resetGlobals()
 	args := []string{"-noise", "jitter=uniform:0.1,seed=7", "-replicas", "3", "run", "stride"}
-	code, serial, _ := runCLI(args...)
+	code, serial, _ := runCLI(t, args...)
 	if code != 0 {
 		t.Fatalf("serial ensemble exit = %d", code)
 	}
 	if !strings.Contains(serial, "±") {
 		t.Errorf("ensemble output has no distribution cells:\n%s", serial)
 	}
-	resetGlobals()
-	code, fleet, errOut := runCLI(append([]string{"-workers", "2"}, args...)...)
+	code, fleet, errOut := runCLI(t, append([]string{"-workers", "2"}, args...)...)
 	if code != 0 {
 		t.Fatalf("-workers 2 ensemble exit = %d\nstderr: %s", code, errOut)
 	}
@@ -225,8 +182,7 @@ func TestNoiseEnsembleWorkersByteIdentity(t *testing.T) {
 	// Worker chaos: the noise directives ride -noise, the crash schedule
 	// rides -faults; crashes are retried invisibly.
 	chaosArgs := append([]string{"-workers", "2", "-faults", "wkill=1"}, args...)
-	resetGlobals()
-	code, chaos, errOut := runCLI(chaosArgs...)
+	code, chaos, errOut := runCLI(t, chaosArgs...)
 	if code != 0 {
 		t.Fatalf("chaos ensemble exit = %d\nstderr: %s", code, errOut)
 	}
@@ -237,21 +193,17 @@ func TestNoiseEnsembleWorkersByteIdentity(t *testing.T) {
 	if !strings.Contains(errOut, "worker fleet:") {
 		t.Errorf("fleet summary missing from stderr: %q", errOut)
 	}
-	if core.NoisePlan() != nil || core.Replicas() != 1 {
-		t.Error("-noise/-replicas leaked into the process globals after run returned")
-	}
 }
 
 // TestBadNoiseSpecIsUsageError: malformed -noise and -replicas values are
 // rejected before any experiment runs.
 func TestBadNoiseSpecIsUsageError(t *testing.T) {
-	defer resetGlobals()
-	if code, _, errOut := runCLI("-noise", "jitter=bogus:0.1", "run", "stride"); code != 2 {
+	if code, _, errOut := runCLI(t, "-noise", "jitter=bogus:0.1", "run", "stride"); code != 2 {
 		t.Fatalf("bad -noise exit = %d, want 2 (stderr %q)", code, errOut)
 	} else if !strings.Contains(errOut, "bogus") {
 		t.Errorf("stderr should name the bad distribution: %q", errOut)
 	}
-	if code, _, errOut := runCLI("-replicas", "0", "run", "stride"); code != 2 {
+	if code, _, errOut := runCLI(t, "-replicas", "0", "run", "stride"); code != 2 {
 		t.Fatalf("-replicas 0 exit = %d, want 2 (stderr %q)", code, errOut)
 	}
 }
@@ -260,8 +212,7 @@ func TestBadNoiseSpecIsUsageError(t *testing.T) {
 // every request poisons every point; the sweep survives, each cell degrades
 // to !workercrash, and the run exits 1 with the full failure summary.
 func TestWorkersQuarantinePoisonPoint(t *testing.T) {
-	defer resetGlobals()
-	code, out, errOut := runCLI("-workers", "1", "-faults", "wkill=0", "run", "stride")
+	code, out, errOut := runCLI(t, "-workers", "1", "-faults", "wkill=0", "run", "stride")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\nstderr: %s", code, errOut)
 	}
@@ -283,18 +234,17 @@ func TestWorkersQuarantinePoisonPoint(t *testing.T) {
 // cancellation; points degrade to !canceled cells and the run exits 1 with
 // a partial-results notice instead of aborting.
 func TestCanceledRunReportsPartialResults(t *testing.T) {
-	defer resetGlobals()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var out, errOut strings.Builder
-	if code := run(ctx, []string{"run", "stride"}, &out, &errOut); code != 1 {
-		t.Fatalf("exit = %d, want 1\nstderr: %s", code, errOut.String())
+	code, out, errOut := runCLICtx(t, ctx, "run", "stride")
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1\nstderr: %s", code, errOut)
 	}
-	if !strings.Contains(out.String(), "!canceled") {
-		t.Errorf("canceled cells missing:\n%s", out.String())
+	if !strings.Contains(out, "!canceled") {
+		t.Errorf("canceled cells missing:\n%s", out)
 	}
-	if !strings.Contains(errOut.String(), "interrupted") || !strings.Contains(errOut.String(), "partial") {
-		t.Errorf("partial-results notice missing: %q", errOut.String())
+	if !strings.Contains(errOut, "interrupted") || !strings.Contains(errOut, "partial") {
+		t.Errorf("partial-results notice missing: %q", errOut)
 	}
 }
 
@@ -302,8 +252,7 @@ func TestCanceledRunReportsPartialResults(t *testing.T) {
 // must speak the protocol on stdin/stdout (exercised via the env path in
 // the other tests, so here we only check flag wiring rejects nothing).
 func TestFailureSummaryTalliesKinds(t *testing.T) {
-	defer resetGlobals()
-	_, _, errOut := runCLI("-faults", "nodedown=0", "run", "stride")
+	_, _, errOut := runCLI(t, "-faults", "nodedown=0", "run", "stride")
 	if !strings.Contains(errOut, "failures by kind: node-down=3") {
 		t.Errorf("kind tally missing: %q", errOut)
 	}

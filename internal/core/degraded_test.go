@@ -15,8 +15,7 @@ import (
 // the healthy analytic rows, annotates the failed cells with the failure
 // kind, and reports a nonzero failure count.
 func TestFaultDegradedSweepRendersAnnotatedCells(t *testing.T) {
-	SetFaultPlan(fault.New().LoseNode(0))
-	defer SetFaultPlan(nil)
+	configure(t, RunConfig{Faults: fault.New().LoseNode(0)})
 	tables := mustLookup(t, "stride").Run()
 	if len(tables) != 1 {
 		t.Fatalf("stride returned %d tables", len(tables))
@@ -44,9 +43,9 @@ func TestFaultDegradedSweepRendersAnnotatedCells(t *testing.T) {
 // plan is part of the cache key, so the entries never collide.
 func TestFaultPlanDoesNotPoisonHealthyCache(t *testing.T) {
 	healthyBefore := mustLookup(t, "stride").Run()[0]
-	SetFaultPlan(fault.New().LoseNode(0))
+	prev := Configure(RunConfig{Faults: fault.New().LoseNode(0)})
 	faulted := mustLookup(t, "stride").Run()[0]
-	SetFaultPlan(nil)
+	Configure(prev)
 	healthyAfter := mustLookup(t, "stride").Run()[0]
 	if faulted.Failures == 0 {
 		t.Fatal("faulted run reported no failures")
@@ -64,8 +63,7 @@ func TestFaultPlanDoesNotPoisonHealthyCache(t *testing.T) {
 // helpers into the machine model.
 func TestFaultSlowNodePerturbsResults(t *testing.T) {
 	healthy := npbRateMPI("CG", npb.ClassC, machine.Altix3700, 4)
-	SetFaultPlan(fault.New().SlowNode(0, 1.5))
-	defer SetFaultPlan(nil)
+	configure(t, RunConfig{Faults: fault.New().SlowNode(0, 1.5)})
 	slowed := npbRateMPI("CG", npb.ClassC, machine.Altix3700, 4)
 	if slowed >= healthy {
 		t.Errorf("1.5x node slowdown: per-CPU rate %.4g, want below healthy %.4g", slowed, healthy)

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"columbia/internal/fault"
 	"columbia/internal/noise"
+	"columbia/internal/sweep"
 	"columbia/internal/vmpi"
 )
 
@@ -33,34 +35,32 @@ func diffNoiseSpec() *noise.Spec {
 	return s
 }
 
-// TestEngineDifferential is the equivalence contract between the two vmpi
-// execution engines (DESIGN.md §8): every registered experiment, run under
-// the event-calendar engine and the goroutine engine, must render
-// byte-identical report output — plain, under a degrading fault plan,
-// under the communication sanitizer, and under seeded performance noise
-// (alone and stacked on the fault plan, whose seed decorrelates the jitter
-// streams). The engine selector is part of each point's fingerprint, so
-// the two passes never share a memo-cache entry: the goroutine pass
-// genuinely recomputes every sweep point.
+// TestEngineDifferential is the equivalence contract between the
+// event-calendar engine and the reference engine (DESIGN.md §8): every
+// registered experiment, run on each, must render byte-identical report
+// output — plain, under a degrading fault plan, under the communication
+// sanitizer, and under seeded performance noise (alone and stacked on the
+// fault plan, whose seed decorrelates the jitter streams). The engine
+// choice is not part of any cache key, so each pass runs on a fresh sweep
+// pool with a cold memo cache: the reference pass genuinely recomputes
+// every sweep point, selected by the pool context every leaf inherits.
 func TestEngineDifferential(t *testing.T) {
 	modes := []struct {
-		name     string
-		faults   *fault.Plan
-		sanitize bool
-		noise    *noise.Spec
+		name string
+		rc   RunConfig
 	}{
-		{"plain", nil, false, nil},
-		{"faulted", diffFaultPlan(), false, nil},
-		{"commsan", nil, true, nil},
-		{"noisy", nil, false, diffNoiseSpec()},
-		{"noisy-faulted", diffFaultPlan().WithSeed(7), false, diffNoiseSpec()},
+		{"plain", RunConfig{}},
+		{"faulted", RunConfig{Faults: diffFaultPlan()}},
+		{"commsan", RunConfig{Sanitize: true}},
+		{"noisy", RunConfig{Noise: diffNoiseSpec()}},
+		{"noisy-faulted", RunConfig{Faults: diffFaultPlan().WithSeed(7), Noise: diffNoiseSpec()}},
 	}
-	defer func() {
-		SetEngine("")
-		SetFaultPlan(nil)
-		SetSanitize(false)
-		SetNoise(nil)
-	}()
+	workers := sweep.Default().Workers()
+	defer sweep.SetWorkers(workers)
+	pass := func(ctx context.Context, e Experiment) string {
+		sweep.Configure(ctx, sweep.Options{Workers: workers})
+		return experimentCSV(e)
+	}
 	for _, e := range Experiments() {
 		e := e
 		for _, m := range modes {
@@ -69,16 +69,12 @@ func TestEngineDifferential(t *testing.T) {
 				if testing.Short() && heavyExperiments[e.ID] {
 					t.Skip("heavy experiment in -short mode")
 				}
-				SetFaultPlan(m.faults)
-				SetSanitize(m.sanitize)
-				SetNoise(m.noise)
-				SetEngine(vmpi.EngineCalendar)
-				cal := experimentCSV(e)
-				SetEngine(vmpi.EngineGoroutine)
-				gor := experimentCSV(e)
-				if cal != gor {
-					t.Fatalf("%s (%s): engines disagree\n--- calendar ---\n%s\n--- goroutine ---\n%s",
-						e.ID, m.name, cal, gor)
+				configure(t, m.rc)
+				cal := pass(context.Background(), e)
+				ref := pass(vmpi.WithReferenceEngine(context.Background()), e)
+				if cal != ref {
+					t.Fatalf("%s (%s): engines disagree\n--- calendar ---\n%s\n--- reference ---\n%s",
+						e.ID, m.name, cal, ref)
 				}
 			})
 		}

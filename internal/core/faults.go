@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"columbia/internal/fault"
 	"columbia/internal/noise"
@@ -10,121 +10,63 @@ import (
 	"columbia/internal/vmpi"
 )
 
-// The active fault plan, sanitizer toggle, noise spec and replica count are
-// process-global, like the sweep pool: experiments are free functions
-// registered at init time, so the CLI (and tests) install them here and
-// every simulated point picks them up via withFaults.
-var (
-	faultMu   sync.Mutex
-	faultPlan *fault.Plan
-	sanitize  bool
-	engine    vmpi.Engine
-	noiseSpec *noise.Spec
-	replicas  int
-)
-
-// SetFaultPlan installs the fault plan applied to every subsequently
-// submitted simulation point; nil restores healthy operation. Faulted and
-// healthy points never share memo-cache entries — the plan is part of each
-// point's fingerprint key.
-func SetFaultPlan(p *fault.Plan) {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	faultPlan = p
+// RunConfig is one run's simulation configuration: everything beyond a
+// point's own spec that shapes its result, and therefore its cache key.
+// It is process-global, like the sweep pool, because experiments are free
+// functions registered at init time; the CLI (and tests) install it with
+// Configure, and the worker handshake installs the same value in each
+// worker process.
+type RunConfig struct {
+	// Faults is the fault plan applied to every point; nil is the healthy
+	// machine. Faulted and healthy points never share memo-cache entries —
+	// the plan is part of each point's fingerprint.
+	Faults *fault.Plan
+	// Sanitize runs every point under the communication sanitizer
+	// (vmpi.Config.Sanitize, package commsan); the toggle is part of each
+	// point's fingerprint.
+	Sanitize bool
+	// Noise is the performance-noise spec; nil (or an empty spec) is
+	// silence. The spec, including its seed, is part of each noisy point's
+	// fingerprint.
+	Noise *noise.Spec
+	// Replicas is the ensemble size: every point fans out into this many
+	// replicas that differ only in their noise replica index. Values below
+	// 1 mean single-shot operation.
+	Replicas int
 }
 
-// FaultPlan returns the currently installed plan (nil when healthy).
-func FaultPlan() *fault.Plan {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	return faultPlan
-}
+// runConfig holds the installed RunConfig; nil is the zero value.
+var runConfig atomic.Pointer[RunConfig]
 
-// SetSanitize toggles the communication sanitizer (vmpi.Config.Sanitize,
-// package commsan) for every subsequently submitted simulation point.
-// Sanitized and unsanitized points never share memo-cache entries — the
-// toggle is part of each point's fingerprint key.
-func SetSanitize(on bool) {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	sanitize = on
-}
-
-// Sanitize reports whether the communication sanitizer is on.
-func Sanitize() bool {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	return sanitize
-}
-
-// SetEngine selects the vmpi execution engine for every subsequently
-// submitted simulation point; the zero value restores the default
-// (vmpi.EngineCalendar). The two engines are result-equivalent, so points
-// run under the default share cache entries with explicit EngineCalendar
-// points, while vmpi.EngineGoroutine points are keyed separately — the
-// differential tests rely on that isolation to compare engines honestly.
-func SetEngine(e vmpi.Engine) {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	engine = e
-}
-
-// EngineSelector returns the currently selected engine (empty for the
-// default).
-func EngineSelector() vmpi.Engine {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	return engine
-}
-
-// SetNoise installs the performance-noise specification applied to every
-// subsequently submitted simulation point; nil (or an empty spec) restores
-// silence. Noisy and silent points never share memo-cache entries — the
-// spec, including its seed, is part of each point's fingerprint key.
-func SetNoise(s *noise.Spec) {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	noiseSpec = s
-}
-
-// NoisePlan returns the currently installed noise spec (nil when silent).
-func NoisePlan() *noise.Spec {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	return noiseSpec
-}
-
-// SetReplicas sets the ensemble size: every subsequently submitted point
-// fans out into n replicas that differ only in their noise replica index.
-// Values below 1 restore single-shot operation.
-func SetReplicas(n int) {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	replicas = n
-}
-
-// Replicas returns the active ensemble size (at least 1).
-func Replicas() int {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	if replicas < 1 {
-		return 1
+// Configure installs rc for every subsequently submitted point and returns
+// the configuration it replaces, so a caller can restore it with
+// defer Configure(Configure(rc)).
+func Configure(rc RunConfig) (prev RunConfig) {
+	if p := runConfig.Swap(&rc); p != nil {
+		prev = *p
 	}
-	return replicas
+	return prev
 }
 
-// withFaults stamps the active fault plan, sanitizer toggle, engine
-// selector and noise spec (bound to the given ensemble replica) into a
-// point's config. Call it before computing the cache key so the fingerprint
-// reflects all of them. Under a silent spec the replica index is discarded
-// — every replica of a noiseless point shares one fingerprint, so an
-// ensemble sweep without -noise memo-collapses to single computations.
-func withFaults(cfg vmpi.Config, replica int) vmpi.Config {
-	cfg.Faults = FaultPlan()
-	cfg.Sanitize = Sanitize()
-	cfg.Engine = EngineSelector()
-	if spec := NoisePlan(); !spec.Empty() {
-		cfg.Noise = spec.WithReplica(replica)
+// Current returns the installed RunConfig.
+func Current() RunConfig {
+	if p := runConfig.Load(); p != nil {
+		return *p
+	}
+	return RunConfig{}
+}
+
+// apply stamps the run's fault plan, sanitizer toggle and noise spec (bound
+// to the given ensemble replica) into a point's config. Call it before
+// computing the cache key so the fingerprint reflects all of them. Under a
+// silent spec the replica index is discarded — every replica of a
+// noiseless point shares one fingerprint, so an ensemble sweep without
+// -noise memo-collapses to single computations.
+func (rc RunConfig) apply(cfg vmpi.Config, replica int) vmpi.Config {
+	cfg.Faults = rc.Faults
+	cfg.Sanitize = rc.Sanitize
+	if !rc.Noise.Empty() {
+		cfg.Noise = rc.Noise.WithReplica(replica)
 	}
 	return cfg
 }

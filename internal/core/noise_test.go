@@ -12,20 +12,14 @@ import (
 	"columbia/internal/sweep"
 )
 
-// setNoise installs a parsed noise spec and ensemble size for one test and
-// registers cleanup, so test order never matters.
-func setNoise(t *testing.T, spec string, replicas int) {
+// mustNoise parses a noise spec or fails the test.
+func mustNoise(t *testing.T, spec string) *noise.Spec {
 	t.Helper()
 	s, err := noise.Parse(spec)
 	if err != nil {
 		t.Fatalf("noise.Parse(%q): %v", spec, err)
 	}
-	SetNoise(s)
-	SetReplicas(replicas)
-	t.Cleanup(func() {
-		SetNoise(nil)
-		SetReplicas(0)
-	})
+	return s
 }
 
 // noisePointSpec is a cheap vmpi-backed point used by the cache-key tests.
@@ -38,13 +32,13 @@ func noisePointSpec() PointSpec {
 // fingerprint), and replica 0 collides with the single-shot key of the
 // same spec, so -replicas only ever adds entries.
 func TestNoiseEnsembleCacheIsolation(t *testing.T) {
-	setNoise(t, "jitter=exp:0.1,seed=9", 1)
+	rc := RunConfig{Noise: mustNoise(t, "jitter=exp:0.1,seed=9")}
 	spec := noisePointSpec()
 	keys := make(map[string]int)
 	for r := 0; r < 4; r++ {
 		s := spec
 		s.Replica = r
-		key, _, err := buildPoint(s)
+		key, _, err := buildPoint(rc, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +49,7 @@ func TestNoiseEnsembleCacheIsolation(t *testing.T) {
 	}
 	// Replica 0 is the single-shot point: its key must not mention the
 	// replica, so ensemble and plain runs share its cache entry.
-	zero, _, err := buildPoint(spec)
+	zero, _, err := buildPoint(rc, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,17 +63,17 @@ func TestNoiseEnsembleCacheIsolation(t *testing.T) {
 // shares one key — an ensemble sweep without -noise memoizes down to
 // single computations.
 func TestNoiseEnsembleCollapsesWithoutNoise(t *testing.T) {
-	SetReplicas(5)
-	t.Cleanup(func() { SetReplicas(0) })
+	rc := RunConfig{Replicas: 5}
+	configure(t, rc)
 	spec := noisePointSpec()
-	base, _, err := buildPoint(spec)
+	base, _, err := buildPoint(rc, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := 1; r < 5; r++ {
 		s := spec
 		s.Replica = r
-		key, _, err := buildPoint(s)
+		key, _, err := buildPoint(rc, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +96,7 @@ func TestNoiseEnsembleCollapsesWithoutNoise(t *testing.T) {
 // ensemble returns the identical futures for every replica — the rerun is
 // pure cache hits, no recomputation.
 func TestNoiseEnsembleRerunHitsMemoCache(t *testing.T) {
-	setNoise(t, "jitter=uniform:0.2,seed=4", 3)
+	configure(t, RunConfig{Noise: mustNoise(t, "jitter=uniform:0.2,seed=4"), Replicas: 3})
 	spec := noisePointSpec()
 	first := submitPoint[float64](spec)
 	first.Wait()
@@ -123,7 +117,7 @@ func TestNoiseEnsembleRerunHitsMemoCache(t *testing.T) {
 
 // noiseEnsembleCSV renders fig7 — the lightest experiment whose points run
 // real vmpi compute phases, so jitter visibly spreads its cells — under
-// the current noise globals.
+// the installed run configuration.
 func noiseEnsembleCSV(t *testing.T) string {
 	t.Helper()
 	e, err := Lookup("fig7")
@@ -137,7 +131,7 @@ func noiseEnsembleCSV(t *testing.T) string {
 // byte-identical reports on one worker and on eight — replica draws are a
 // pure function of (spec, seed, replica), never of scheduling.
 func TestNoiseEnsembleParallelReplayDeterminism(t *testing.T) {
-	setNoise(t, "jitter=exp:0.05,seed=12", 3)
+	configure(t, RunConfig{Noise: mustNoise(t, "jitter=exp:0.05,seed=12"), Replicas: 3})
 	defer sweep.SetWorkers(0)
 	sweep.SetWorkers(1)
 	serial := noiseEnsembleCSV(t)
@@ -158,13 +152,9 @@ func TestNoiseEnsembleParallelReplayDeterminism(t *testing.T) {
 func TestNoiseEnsembleSeedsMoveCells(t *testing.T) {
 	defer sweep.SetWorkers(0)
 	sweep.SetWorkers(0) // fresh cache so the seeds cannot alias
-	setNoise(t, "jitter=exp:0.05,seed=1", 3)
+	configure(t, RunConfig{Noise: mustNoise(t, "jitter=exp:0.05,seed=1"), Replicas: 3})
 	one := noiseEnsembleCSV(t)
-	s2, err := noise.Parse("jitter=exp:0.05,seed=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetNoise(s2)
+	Configure(RunConfig{Noise: mustNoise(t, "jitter=exp:0.05,seed=2"), Replicas: 3})
 	two := noiseEnsembleCSV(t)
 	if one == two {
 		t.Errorf("different seeds rendered identical reports:\n%s", one)
@@ -199,9 +189,7 @@ func TestGoldenNoiseEnsemble(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			setNoise(t, "jitter=exp:0.05,seed=12", 3)
-			SetFaultPlan(tc.faults)
-			t.Cleanup(func() { SetFaultPlan(nil) })
+			configure(t, RunConfig{Faults: tc.faults, Noise: mustNoise(t, "jitter=exp:0.05,seed=12"), Replicas: 3})
 			got := noiseEnsembleCSV(t)
 			path := filepath.Join("testdata", "golden", tc.name+".csv")
 			if *update {

@@ -79,13 +79,13 @@ func (r ClusterRef) cluster() *machine.Cluster {
 
 // PointSpec is the wire form of one sweep point: everything a worker
 // process needs to rebuild the point's configuration — and, crucially, its
-// cache key — bit-for-bit. The fault plan, sanitizer toggle and engine
-// selector deliberately do not appear: they are process-global on both
-// sides, installed in the worker from the protocol handshake, so a spec
-// cannot smuggle in a configuration the handshake didn't establish. Every
-// field must be folded into the cache key or the run configuration by
-// buildPoint — a field the builder ignores can drift between processes
-// without the key-drift check noticing.
+// cache key — bit-for-bit. The run configuration (fault plan, sanitizer
+// toggle, noise spec) deliberately does not appear: it is one RunConfig,
+// process-global on both sides and installed in the worker from the
+// protocol handshake, so a spec cannot smuggle in a configuration the
+// handshake didn't establish. Every field must be folded into the cache
+// key or the run configuration by buildPoint — a field the builder ignores
+// can drift between processes without the key-drift check noticing.
 //
 //perflint:wire buildPoint
 type PointSpec struct {
@@ -108,9 +108,9 @@ type PointSpec struct {
 	Pin pinning.Method
 	MPT machine.MPTVersion
 	// Replica selects the noise-ensemble replica. It reaches the cache key
-	// only through the noise spec (withFaults binds it into Config.Noise),
-	// so under a silent spec every replica of a point shares one key and
-	// the ensemble memo-collapses to a single computation.
+	// only through the noise spec (RunConfig.apply binds it into
+	// Config.Noise), so under a silent spec every replica of a point shares
+	// one key and the ensemble memo-collapses to a single computation.
 	Replica int
 }
 
@@ -119,14 +119,15 @@ type PointSpec struct {
 // Both the submission side (any process) and the worker side call it, so a
 // supervisor and a worker that disagree on the key — a builder version skew
 // — are detected instead of silently filling cells from the wrong
-// configuration. The key construction must stay byte-compatible with the
-// historical in-process submission sites: golden outputs and memo caches
-// key on it.
-func buildPoint(spec PointSpec) (string, func(context.Context) (any, error), error) {
+// configuration. rc is the run configuration the caller loaded once; every
+// field the point's config and key derive from comes from rc or spec. The
+// key construction must stay byte-compatible with the historical
+// in-process submission sites: golden outputs and memo caches key on it.
+func buildPoint(rc RunConfig, spec PointSpec) (string, func(context.Context) (any, error), error) {
 	switch spec.Kind {
 	case "beff":
 		cl := spec.Cluster.cluster()
-		cfg := withFaults(vmpi.Config{Cluster: cl, Procs: spec.Procs, Nodes: spec.Nodes, RandomPattern: spec.Random}, spec.Replica)
+		cfg := rc.apply(vmpi.Config{Cluster: cl, Procs: spec.Procs, Nodes: spec.Nodes, RandomPattern: spec.Random}, spec.Replica)
 		key := "beff/reps=3/" + cfg.Fingerprint()
 		return key, func(ctx context.Context) (any, error) {
 			var out hpcc.BeffResult
@@ -140,7 +141,7 @@ func buildPoint(spec PointSpec) (string, func(context.Context) (any, error), err
 		}, nil
 	case "pingpong-lat":
 		cl := spec.Cluster.cluster()
-		cfg := withFaults(vmpi.Config{Cluster: cl, Procs: spec.Procs, Stride: spec.Stride}, spec.Replica)
+		cfg := rc.apply(vmpi.Config{Cluster: cl, Procs: spec.Procs, Stride: spec.Stride}, spec.Replica)
 		key := "pingpong-lat/reps=3/" + cfg.Fingerprint()
 		return key, func(ctx context.Context) (any, error) {
 			var out float64
@@ -153,7 +154,7 @@ func buildPoint(spec PointSpec) (string, func(context.Context) (any, error), err
 			return out, err
 		}, nil
 	case "npb-mpi":
-		cfg := withFaults(vmpi.Config{Cluster: spec.Cluster.cluster(), Procs: spec.Procs}, spec.Replica)
+		cfg := rc.apply(vmpi.Config{Cluster: spec.Cluster.cluster(), Procs: spec.Procs}, spec.Replica)
 		key := fmt.Sprintf("npb/mpi/%s/%s/%s", spec.Bench, spec.Class, cfg.Fingerprint())
 		return key, func(ctx context.Context) (any, error) {
 			fn, ct := npb.Skeleton(spec.Bench, spec.Class, spec.Procs)
@@ -167,7 +168,7 @@ func buildPoint(spec PointSpec) (string, func(context.Context) (any, error), err
 	case "npb-omp":
 		// The OMP options derive deterministically from bench/class, which
 		// the key prefix already pins, so the fingerprint omits them safely.
-		cfg := withFaults(vmpi.Config{
+		cfg := rc.apply(vmpi.Config{
 			Cluster:       spec.Cluster.cluster(),
 			Procs:         1,
 			Threads:       spec.Threads,
@@ -190,26 +191,16 @@ func buildPoint(spec PointSpec) (string, func(context.Context) (any, error), err
 		// the key prefix), and the MPT version is keyed explicitly because
 		// the net model is built inside the point.
 		cl := spec.Cluster.cluster()
-		keyCfg := withFaults(vmpi.Config{Cluster: cl, Procs: spec.Procs, Threads: spec.Threads,
+		keyCfg := rc.apply(vmpi.Config{Cluster: cl, Procs: spec.Procs, Threads: spec.Threads,
 			Nodes: spec.Nodes, Pin: spec.Pin}, spec.Replica)
 		key := fmt.Sprintf("mz/%s/%s/mpt=%s/%s", spec.Bench, spec.Class, spec.MPT, keyCfg.Fingerprint())
 		return key, func(ctx context.Context) (any, error) {
 			fn, info := npbmz.Skeleton(spec.Bench, spec.Class, spec.Procs)
 			net := netmodel.New(cl)
 			net.MPT = spec.MPT
-			res, err := vmpi.RunCtx(ctx, vmpi.Config{
-				Cluster:  cl,
-				Net:      net,
-				Procs:    spec.Procs,
-				Threads:  spec.Threads,
-				Nodes:    spec.Nodes,
-				Pin:      spec.Pin,
-				OMP:      info.OMPOpts(),
-				Faults:   keyCfg.Faults,
-				Noise:    keyCfg.Noise,
-				Sanitize: keyCfg.Sanitize,
-				Engine:   keyCfg.Engine,
-			}, fn)
+			cfg := keyCfg
+			cfg.Net, cfg.OMP = net, info.OMPOpts()
+			res, err := vmpi.RunCtx(ctx, cfg, fn)
 			if err != nil {
 				return 0.0, err
 			}
@@ -222,7 +213,7 @@ func buildPoint(spec PointSpec) (string, func(context.Context) (any, error), err
 		}, nil
 	case "md-weak":
 		w := md.PaperWeakScaling()
-		cfg := withFaults(vmpi.Config{Cluster: spec.Cluster.cluster(), Procs: spec.Procs, Nodes: spec.Nodes}, spec.Replica)
+		cfg := rc.apply(vmpi.Config{Cluster: spec.Cluster.cluster(), Procs: spec.Procs, Nodes: spec.Nodes}, spec.Replica)
 		key := fmt.Sprintf("md-weak/atoms=%d/%s", w.AtomsPerProc, cfg.Fingerprint())
 		return key, func(ctx context.Context) (any, error) {
 			res, err := vmpi.RunCtx(ctx, cfg, w.Skeleton(spec.Procs))
@@ -236,19 +227,20 @@ func buildPoint(spec PointSpec) (string, func(context.Context) (any, error), err
 }
 
 // submitPoint submits one experiment point as its noise ensemble: R
-// replicas (R = Replicas(), 1 by default) that differ only in
+// replicas (R = RunConfig.Replicas, 1 by default) that differ only in
 // PointSpec.Replica, each an ordinary memoized sweep point. Under a noise
 // spec the replicas key distinct cache entries (the replica index rides the
 // noise fingerprint); without one they share a single key and the sweep
 // memoizer collapses them to one computation, so -replicas without -noise
-// costs nothing.
+// costs nothing. The run configuration is loaded once, so a concurrent
+// Configure can never split one ensemble across two configurations.
 func submitPoint[T any](spec PointSpec) Ens[T] {
-	n := Replicas()
-	reps := make([]sweep.Future[T], n)
-	for r := 0; r < n; r++ {
+	rc := Current()
+	reps := make([]sweep.Future[T], max(rc.Replicas, 1))
+	for r := range reps {
 		s := spec
 		s.Replica = r
-		reps[r] = submitReplica[T](s)
+		reps[r] = submitReplica[T](rc, s)
 	}
 	return Ens[T]{reps: reps}
 }
@@ -258,8 +250,8 @@ func submitPoint[T any](spec PointSpec) Ens[T] {
 // share buildPoint, so the cache key — and with it memoization, affinity
 // class and report output — is identical regardless of where the point
 // executes.
-func submitReplica[T any](spec PointSpec) sweep.Future[T] {
-	key, run, err := buildPoint(spec)
+func submitReplica[T any](rc RunConfig, spec PointSpec) sweep.Future[T] {
+	key, run, err := buildPoint(rc, spec)
 	if err != nil {
 		// An unbuildable spec is a bug at the submission site; surface it
 		// as a failed future so the cell degrades instead of panicking.
@@ -293,10 +285,10 @@ func submitReplica[T any](spec PointSpec) sweep.Future[T] {
 }
 
 // ExecutePoint is the worker-process side of submitPoint: it rebuilds the
-// point from its wire spec, verifies the key the supervisor routed by is
-// the key this binary derives (catching any builder skew between parent
-// and worker binaries), runs the point under ctx, and serializes the
-// result. It satisfies dist.Executor; cmd/columbia wires it in.
+// point from its wire spec under the installed RunConfig (loaded once per
+// request), verifies the key the supervisor routed by is the key this
+// binary derives (catching any builder skew between parent and worker
+// binaries), runs the point under ctx, and serializes the result. It satisfies dist.Executor; cmd/columbia wires it in.
 func ExecutePoint(ctx context.Context, kind, key string, raw []byte) ([]byte, error) {
 	var spec PointSpec
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&spec); err != nil {
@@ -305,7 +297,7 @@ func ExecutePoint(ctx context.Context, kind, key string, raw []byte) ([]byte, er
 	if spec.Kind != kind {
 		return nil, fmt.Errorf("core: point kind mismatch: request says %q, spec says %q", kind, spec.Kind)
 	}
-	derived, run, err := buildPoint(spec)
+	derived, run, err := buildPoint(Current(), spec)
 	if err != nil {
 		return nil, err
 	}

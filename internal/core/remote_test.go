@@ -111,7 +111,7 @@ func TestFaultRemoteBeffResultShape(t *testing.T) {
 func TestFaultExecutePointRejectsDrift(t *testing.T) {
 	spec := PointSpec{Kind: "npb-mpi", Cluster: singleNode(machine.Altix3700),
 		Procs: 4, Bench: "CG", Class: npb.ClassC}
-	key, _, err := buildPoint(spec)
+	key, _, err := buildPoint(Current(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

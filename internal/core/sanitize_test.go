@@ -8,16 +8,14 @@ import "testing"
 // toggle changes each point's fingerprint, so the sanitized pass recomputes
 // every sweep point rather than replaying the unsanitized cache.
 func TestSanitizedExperimentsByteIdentical(t *testing.T) {
-	defer SetSanitize(false)
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			if testing.Short() && heavyExperiments[e.ID] {
 				t.Skip("heavy experiment in -short mode")
 			}
-			SetSanitize(false)
 			plain := experimentCSV(e)
-			SetSanitize(true)
+			configure(t, RunConfig{Sanitize: true})
 			sanitized := experimentCSV(e)
 			if plain != sanitized {
 				t.Fatalf("%s: sanitizer perturbed output\n--- plain ---\n%s\n--- sanitized ---\n%s",

@@ -18,9 +18,9 @@ import (
 // or the point's structured error. cmd/columbia wires core.ExecutePoint in.
 type Executor func(ctx context.Context, kind, key string, spec []byte) ([]byte, error)
 
-// Setup builds the worker's executor once the handshake arrives: it applies
-// the run configuration the Hello carries (fault plan, sanitizer, engine)
-// to the worker's own process state and returns the executor that serves
+// Setup builds the worker's executor once the handshake arrives: it installs
+// the run configuration the Hello carries (fault plan, sanitizer, noise
+// spec) in the worker's own process state and returns the executor that serves
 // requests under it. A setup error aborts the worker before it computes
 // anything under a misconfiguration.
 type Setup func(h Hello) (Executor, error)

@@ -150,11 +150,15 @@ func TestFaultDeterministicFailureNotRetried(t *testing.T) {
 func TestFaultPoolCancellationDrainsQueue(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := NewPoolOpts(ctx, Options{Workers: 1})
-	release := make(chan struct{})
+	started, release := make(chan struct{}), make(chan struct{})
 	running := CachedCtx(p, "running", func(c context.Context) (int, error) {
+		close(started)
 		<-release
 		return 0, c.Err() // observes cancellation like vmpi.RunCtx would
 	})
+	// The queued points must find the only slot taken; otherwise one of
+	// them can win the slot race and legitimately run before cancel.
+	<-started
 	var ran atomic.Int32
 	var queued []Future[int]
 	for i := 0; i < 8; i++ {

@@ -84,3 +84,20 @@ func arenaFrom(ctx context.Context) *Arena {
 	a, _ := ctx.Value(arenaCtxKey{}).(*Arena)
 	return a
 }
+
+type referenceCtxKey struct{}
+
+// WithReferenceEngine returns a context under which RunCtx runs on the
+// reference engine — the original central-loop scheduler — instead of the
+// event calendar. It exists for tests only: the differential suites run
+// every simulation twice and require byte-identical results. The choice
+// rides the context, never the Config, so it cannot enter a fingerprint, a
+// cache key, the worker wire protocol or the CLI.
+func WithReferenceEngine(ctx context.Context) context.Context {
+	return context.WithValue(ctx, referenceCtxKey{}, true)
+}
+
+// referenceFrom reports whether WithReferenceEngine marked ctx.
+func referenceFrom(ctx context.Context) bool {
+	return ctx.Value(referenceCtxKey{}) != nil
+}

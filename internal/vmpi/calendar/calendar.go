@@ -29,7 +29,7 @@ type Event struct {
 }
 
 // less orders events by (At, Rank): earliest virtual time first, ties to
-// the lowest rank id — exactly the pick order of the goroutine engine's
+// the lowest rank id — exactly the pick order of the reference engine's
 // linear scan, which is what makes the two engines replay identically.
 // Two events for the same rank at the same time (differing only in Seq)
 // compare equal; whichever pops first, the stale one fails its Seq check.

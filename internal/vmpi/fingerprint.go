@@ -61,15 +61,6 @@ func (c Config) Fingerprint() string {
 	if c.Sanitize {
 		b.WriteString("|commsan=1")
 	}
-	// The engines are result-equivalent, so the default (calendar) engine
-	// keeps historical fingerprints byte-identical and an explicit
-	// EngineCalendar collides with the default — the same simulation may
-	// share a cache entry. A non-default engine still splits the cache:
-	// equivalence is enforced by tests, not assumed by the memoizer.
-	if eng := c.engine(); eng != EngineCalendar {
-		b.WriteString("|engine=")
-		b.WriteString(string(eng))
-	}
 	return b.String()
 }
 

@@ -35,7 +35,6 @@ var fingerprintMutators = map[string]func(*Config){
 	"Faults":        func(c *Config) { c.Faults = fault.New().SlowNode(0, 2) },
 	"Noise":         func(c *Config) { c.Noise = noise.New().WithUniform(0.1).WithSeed(7) },
 	"Sanitize":      func(c *Config) { c.Sanitize = true },
-	"Engine":        func(c *Config) { c.Engine = EngineGoroutine },
 }
 
 func baseFingerprintConfig() Config {
@@ -137,32 +136,5 @@ func TestFingerprintNoiseIff(t *testing.T) {
 	blank.Noise = noise.New()
 	if blank.Fingerprint() != silentFP {
 		t.Errorf("empty noise spec changed the fingerprint:\n%s", blank.Fingerprint())
-	}
-}
-
-// TestFingerprintEngineIff: the fingerprint mentions the engine iff a
-// non-default engine is selected. Default fingerprints stay byte-identical
-// to releases that predate Config.Engine, an explicit EngineCalendar
-// deliberately collides with the default (the engines are
-// result-equivalent, so sharing a cache entry is correct), and
-// EngineGoroutine splits the cache so the two engines never alias.
-func TestFingerprintEngineIff(t *testing.T) {
-	def := baseFingerprintConfig()
-	cal := baseFingerprintConfig()
-	cal.Engine = EngineCalendar
-	gor := baseFingerprintConfig()
-	gor.Engine = EngineGoroutine
-	defFP, calFP, gorFP := def.Fingerprint(), cal.Fingerprint(), gor.Fingerprint()
-	if strings.Contains(defFP, "engine") {
-		t.Errorf("default fingerprint mentions engine (breaks historical cache keys):\n%s", defFP)
-	}
-	if calFP != defFP {
-		t.Errorf("explicit EngineCalendar should share the default cache entry:\n%s\n%s", calFP, defFP)
-	}
-	if gorFP == defFP {
-		t.Errorf("EngineGoroutine does not change the fingerprint:\n%s", gorFP)
-	}
-	if !strings.Contains(gorFP, "engine=goroutine") {
-		t.Errorf("goroutine fingerprint missing engine component:\n%s", gorFP)
 	}
 }

@@ -1,6 +1,7 @@
 package vmpi
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -54,11 +55,11 @@ func fuzzProgram(ops []byte) func(par.Comm) {
 	}
 }
 
-// runFuzzProgram runs one interpreted program under the given engine and
-// renders the outcome to a canonical string: the error text on failure, or
+// runFuzzProgram runs one interpreted program — on the reference engine
+// when reference is set, the calendar engine otherwise — and renders the outcome to a canonical string: the error text on failure, or
 // the bit-exact per-rank statistics on success (hex float bits, so even a
 // one-ULP timing divergence between engines is caught).
-func runFuzzProgram(program []byte, eng Engine, sanitize bool) string {
+func runFuzzProgram(program []byte, reference, sanitize bool) string {
 	procs := 2 + int(program[0])%6
 	ops := program[1:]
 	if len(ops) > 2*fuzzOps {
@@ -67,10 +68,13 @@ func runFuzzProgram(program []byte, eng Engine, sanitize bool) string {
 	cfg := Config{
 		Cluster:  machine.NewSingleNode(machine.Altix3700),
 		Procs:    procs,
-		Engine:   eng,
 		Sanitize: sanitize,
 	}
-	res, err := TryRun(cfg, fuzzProgram(ops))
+	ctx := context.Background()
+	if reference {
+		ctx = WithReferenceEngine(ctx)
+	}
+	res, err := RunCtx(ctx, cfg, fuzzProgram(ops))
 	if err != nil {
 		return "error: " + err.Error()
 	}
@@ -84,7 +88,7 @@ func runFuzzProgram(program []byte, eng Engine, sanitize bool) string {
 }
 
 // FuzzEngineEquivalence generates random small rank programs and requires
-// the calendar and goroutine engines to agree bit-for-bit on the outcome —
+// the calendar and reference engines to agree bit-for-bit on the outcome —
 // per-rank statistics on success, the full error text (deadlock
 // enumerations, wait-for chains, sanitizer violations) on failure — both
 // plain and under the communication sanitizer. The seeded corpus under
@@ -106,11 +110,11 @@ func FuzzEngineEquivalence(f *testing.F) {
 			t.Skip()
 		}
 		for _, sanitize := range []bool{false, true} {
-			cal := runFuzzProgram(program, EngineCalendar, sanitize)
-			gor := runFuzzProgram(program, EngineGoroutine, sanitize)
-			if cal != gor {
-				t.Fatalf("engines disagree (sanitize=%v) on program %v\n--- calendar ---\n%s\n--- goroutine ---\n%s",
-					sanitize, program, cal, gor)
+			cal := runFuzzProgram(program, false, sanitize)
+			ref := runFuzzProgram(program, true, sanitize)
+			if cal != ref {
+				t.Fatalf("engines disagree (sanitize=%v) on program %v\n--- calendar ---\n%s\n--- reference ---\n%s",
+					sanitize, program, cal, ref)
 			}
 		}
 	})

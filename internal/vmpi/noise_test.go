@@ -1,6 +1,7 @@
 package vmpi
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -33,9 +34,15 @@ func noiseProgram(c par.Comm) {
 // one-ULP divergence between engines or replays is caught.
 func noiseRun(t *testing.T, cfg Config) string {
 	t.Helper()
-	res, err := TryRun(cfg, noiseProgram)
+	return noiseRunCtx(t, context.Background(), cfg)
+}
+
+// noiseRunCtx is noiseRun under ctx, which may select the reference engine.
+func noiseRunCtx(t *testing.T, ctx context.Context, cfg Config) string {
+	t.Helper()
+	res, err := RunCtx(ctx, cfg, noiseProgram)
 	if err != nil {
-		t.Fatalf("TryRun: %v", err)
+		t.Fatalf("RunCtx: %v", err)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "time=%016x", math.Float64bits(res.Time))
@@ -87,7 +94,7 @@ func TestNoisePerSeedDeterminism(t *testing.T) {
 	}
 }
 
-// TestNoiseEngineEquivalence: both engines must replay a noisy run
+// TestNoiseEngineEquivalence: the calendar and reference engines must replay a noisy run
 // bit-identically — the jitter stream advances in per-rank program order
 // inside the shared computeTime path, never in scheduler order.
 func TestNoiseEngineEquivalence(t *testing.T) {
@@ -101,14 +108,13 @@ func TestNoiseEngineEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cal := noiseBaseConfig()
-		cal.Noise, cal.Engine = s, EngineCalendar
-		gor := noiseBaseConfig()
-		gor.Noise, gor.Engine = s, EngineGoroutine
-		calRun, gorRun := noiseRun(t, cal), noiseRun(t, gor)
-		if calRun != gorRun {
-			t.Errorf("engines disagree under noise %q\n--- calendar ---\n%s\n--- goroutine ---\n%s",
-				spec, calRun, gorRun)
+		cfg := noiseBaseConfig()
+		cfg.Noise = s
+		calRun := noiseRun(t, cfg)
+		refRun := noiseRunCtx(t, WithReferenceEngine(context.Background()), cfg)
+		if calRun != refRun {
+			t.Errorf("engines disagree under noise %q\n--- calendar ---\n%s\n--- reference ---\n%s",
+				spec, calRun, refRun)
 		}
 	}
 }

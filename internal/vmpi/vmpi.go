@@ -30,22 +30,20 @@
 //
 // # Execution engines
 //
-// Two engines implement the identical simulation semantics and are
-// guaranteed — by the differential suite in internal/core and the
-// FuzzEngineEquivalence fuzz target — to produce byte-identical results:
+// Every run uses the event-calendar engine: an O(log P) min-heap of
+// (time, rank) wake events with lazy invalidation, direct
+// goroutine-to-goroutine handoff (the yielding rank resumes the next one
+// itself — one channel operation per switch, zero when the yielder is
+// still the earliest), and free-listed message/mailbox storage so the hot
+// send/recv path does not allocate.
 //
-//   - EngineCalendar (the default) drives ranks from a pooled event
-//     calendar: an O(log P) min-heap of (time, rank) wake events with lazy
-//     invalidation, direct goroutine-to-goroutine handoff (the yielding
-//     rank resumes the next one itself — one channel operation per switch,
-//     zero when the yielder is still the earliest), and free-listed
-//     message/mailbox storage so the hot send/recv path does not allocate.
-//   - EngineGoroutine is the original scheduler: a central loop that scans
-//     every rank for the smallest clock and round-trips two channel
-//     handoffs per scheduling step. It is kept as the executable
-//     specification the calendar engine is differentially tested against.
-//
-// See DESIGN.md §8 for the equivalence contract.
+// The original central-loop scheduler, which scans every rank for the
+// smallest clock and round-trips two channel handoffs per scheduling
+// step, is kept only as the reference engine: the executable
+// specification the calendar engine is differentially tested against.
+// Tests select it per run with WithReferenceEngine; it is never a
+// configuration option and never enters a fingerprint. See DESIGN.md §8
+// for the equivalence contract.
 package vmpi
 
 import (
@@ -71,21 +69,6 @@ const AnySource = -1
 // sendOverheadFrac is the fraction of the path latency charged to the
 // sender as initiation overhead. [calibrated]
 const sendOverheadFrac = 0.35
-
-// Engine selects the scheduler that advances a simulation's virtual time.
-// Both engines implement identical semantics and produce byte-identical
-// results; they differ only in wall-clock cost. See the package comment.
-type Engine string
-
-const (
-	// EngineCalendar is the event-calendar engine: heap-ordered wake
-	// events, direct rank-to-rank handoff, pooled message storage. The
-	// default (an empty Config.Engine resolves to it).
-	EngineCalendar Engine = "calendar"
-	// EngineGoroutine is the original central-scheduler engine, kept as
-	// the executable specification for differential testing.
-	EngineGoroutine Engine = "goroutine"
-)
 
 // Config describes one simulated job.
 type Config struct {
@@ -135,12 +118,6 @@ type Config struct {
 	// unsanitized run — but the toggle is fingerprint-visible because
 	// sanitized runs can fail where unsanitized runs succeed.
 	Sanitize bool
-	// Engine selects the execution engine; empty means EngineCalendar.
-	// The two engines are result-equivalent, so the selector enters the
-	// fingerprint only when the non-default engine is chosen: default
-	// fingerprints stay byte-identical to past releases, and an explicit
-	// EngineCalendar shares cache entries with the default.
-	Engine Engine
 }
 
 func (c *Config) placement() *machine.Placement {
@@ -163,14 +140,6 @@ func (c *Config) threads() int {
 		return 1
 	}
 	return c.Threads
-}
-
-// engine resolves the Engine selector: empty means the calendar engine.
-func (c *Config) engine() Engine {
-	if c.Engine == "" {
-		return EngineCalendar
-	}
-	return c.Engine
 }
 
 // RankStats reports the virtual-time breakdown of one rank.
@@ -327,7 +296,7 @@ func TryRun(cfg Config, fn func(par.Comm)) (Result, error) {
 // ever touching their Comm cannot be preempted; none of the workloads in
 // this repository do that.
 func RunCtx(ctx context.Context, cfg Config, fn func(par.Comm)) (Result, error) {
-	e, err := newEngine(cfg, arenaFrom(ctx))
+	e, err := newEngine(cfg, arenaFrom(ctx), referenceFrom(ctx))
 	if err != nil {
 		return Result{}, err
 	}
@@ -368,7 +337,7 @@ func (e *engine) spawn(fn func(par.Comm)) {
 // rankExit is the deferred tail of every rank goroutine: it converts rank
 // panics into the run's error (stopToken unwinding excepted), marks the
 // rank done, and hands control onward — to the central scheduler loop
-// under the goroutine engine, or to the next calendar event (or the
+// under the reference engine, or to the next calendar event (or the
 // caller, via done) under the calendar engine.
 func (e *engine) rankExit(r *rankState) {
 	if p := recover(); p != nil {
@@ -403,9 +372,10 @@ func (e *engine) rankExit(r *rankState) {
 	}
 }
 
-// runGoroutine is the original engine: a central loop that repeatedly scans
-// for the rank with the smallest virtual clock, resumes it, and waits for
-// it to park. Two channel handoffs and one O(P) scan per scheduling step.
+// runGoroutine is the reference engine (WithReferenceEngine): a central
+// loop that repeatedly scans for the rank with the smallest virtual clock,
+// resumes it, and waits for it to park. Two channel handoffs and one O(P)
+// scan per scheduling step.
 func (e *engine) runGoroutine(ctx context.Context) (Result, error) {
 	active := len(e.ranks)
 	for active > 0 {
@@ -460,7 +430,7 @@ func (e *engine) runCalendar(ctx context.Context) (Result, error) {
 	for _, r := range e.ranks {
 		e.calPush(r, 0)
 	}
-	// calNext checks the context first, so — like the goroutine engine —
+	// calNext checks the context first, so — like the reference engine —
 	// an already-canceled run fails before its first rank executes.
 	first := e.calNext()
 	if first == nil {
@@ -552,7 +522,7 @@ func (e *engine) calYield(r *rankState) {
 
 // shutdown resumes every live rank with stopping set so it unwinds through
 // stopToken; after it returns no rank goroutine is left behind. Under the
-// goroutine engine the unwinding rank parks on e.parked as usual; under the
+// reference engine the unwinding rank parks on e.parked as usual; under the
 // calendar engine it acknowledges on e.acks (rankExit).
 func (e *engine) shutdown() {
 	e.stopping = true
@@ -569,18 +539,12 @@ func (e *engine) shutdown() {
 	}
 }
 
-func newEngine(cfg Config, arena *Arena) (e *engine, err error) {
+func newEngine(cfg Config, arena *Arena, reference bool) (e *engine, err error) {
 	if cfg.Cluster == nil {
 		return nil, configErr("Config.Cluster is required")
 	}
 	if cfg.Procs < 1 {
 		return nil, configErr("Config.Procs must be positive, got %d", cfg.Procs)
-	}
-	switch cfg.engine() {
-	case EngineCalendar, EngineGoroutine:
-	default:
-		return nil, configErr("unknown Config.Engine %q (want %q or %q)",
-			cfg.Engine, EngineCalendar, EngineGoroutine)
 	}
 	// The placement constructors in package machine report impossible
 	// geometries (too few CPUs, invalid node counts, duplicated slots) by
@@ -599,7 +563,7 @@ func newEngine(cfg Config, arena *Arena) (e *engine, err error) {
 		net:        net,
 		place:      cfg.placement(),
 		threads:    cfg.threads(),
-		cal:        cfg.engine() == EngineCalendar,
+		cal:        !reference,
 		computeFac: cfg.ComputeFactor,
 		faults:     cfg.Faults,
 	}
@@ -863,7 +827,7 @@ func (e *engine) waitStep(r *rankState) CycleStep {
 }
 
 // yield parks the calling rank goroutine and hands control to the engine:
-// the central scheduler loop (goroutine engine) or the next event's rank
+// the central scheduler loop (reference engine) or the next event's rank
 // directly (calendar engine).
 func (e *engine) yield(r *rankState) {
 	if e.cal {

@@ -43,6 +43,12 @@ go run ./cmd/perflint -stats
 echo "== go build =="
 go build ./...
 
+# The benchmark harness is a nested module (perfbench/go.mod), invisible to
+# ./... above; vet it so an API change in core, dist or sweep that breaks
+# the benchmark fails here instead of at benchmark time.
+echo "== go vet (perfbench module) =="
+(cd perfbench && GOTOOLCHAIN=local GOPROXY=off go vet .)
+
 echo "== go test =="
 go test -timeout 15m ./...
 
