@@ -30,9 +30,12 @@
 // reproduce before it can fail the gate.
 //
 // The baseline files sort by name, so the lexically largest BENCH_*.json
-// is the comparison target. A run with no baseline present reports the
-// results and exits 0 (there is nothing to regress against); `make bench`
-// keeps a baseline committed so the gate always has teeth in CI.
+// is the comparison target. Each baseline records the host's CPU count and
+// GOMAXPROCS; comparing on a host that differs prints a warning, because
+// ns/op (the sweep benchmarks above all) depends on how many CPUs ran it.
+// A run with no baseline present reports the results and exits 0 (there is
+// nothing to regress against); `make bench` keeps a baseline committed so
+// the gate always has teeth in CI.
 //
 // Two metrics are gated per benchmark: ns/op and — when both the baseline
 // and the current run recorded it — allocs/op. Benchmarks present in the
@@ -76,8 +79,12 @@ import (
 
 // Baseline is the on-disk BENCH_<date>.json schema.
 type Baseline struct {
-	Date       string             `json:"date"`
-	GoVersion  string             `json:"go"`
+	Date      string `json:"date"`
+	GoVersion string `json:"go"`
+	// NumCPU and GOMAXPROCS describe the host the baseline was taken on;
+	// zero in baselines that predate recording them.
+	NumCPU     int                `json:"num_cpu,omitempty"`
+	GOMAXPROCS int                `json:"gomaxprocs,omitempty"`
 	Benchmarks map[string]Measure `json:"benchmarks"`
 	// Scaling is the sweep speedup curve derived from the Sweep* worker
 	// benchmarks, recorded so the scaling shape is tracked in-repo.
@@ -167,6 +174,20 @@ func latestBaseline(dir string) (string, error) {
 	}
 	sort.Strings(matches)
 	return matches[len(matches)-1], nil
+}
+
+// hostMismatch describes how the baseline's host differs from this one
+// (cpus and procs are runtime.NumCPU and GOMAXPROCS here), or returns ""
+// when they match.
+func hostMismatch(base Baseline, cpus, procs int) string {
+	if base.NumCPU == 0 {
+		return "baseline records no host CPU count; ns/op may not be comparable"
+	}
+	if base.NumCPU != cpus || base.GOMAXPROCS != procs {
+		return fmt.Sprintf("baseline host had %d CPUs (GOMAXPROCS %d), this host has %d (GOMAXPROCS %d); ns/op may not be comparable",
+			base.NumCPU, base.GOMAXPROCS, cpus, procs)
+	}
+	return ""
 }
 
 // regression is one benchmark metric that worsened past its threshold.
@@ -375,6 +396,9 @@ func run() error {
 		if err := json.Unmarshal(data, &base); err != nil {
 			return fmt.Errorf("%s: %v", basePath, err)
 		}
+		if w := hostMismatch(base, runtime.NumCPU(), runtime.GOMAXPROCS(0)); w != "" {
+			fmt.Printf("benchgate: WARNING %s\n", w)
+		}
 		regs := compare(base.Benchmarks, current, *threshold, *athreshold)
 		if len(regs) > 0 && *input == "" {
 			names := make([]string, len(regs))
@@ -432,6 +456,8 @@ func run() error {
 		b := Baseline{
 			Date:       time.Now().Format("2006-01-02"),
 			GoVersion:  runtime.Version(),
+			NumCPU:     runtime.NumCPU(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
 			Benchmarks: current,
 			Scaling:    scalingCurve(current),
 		}

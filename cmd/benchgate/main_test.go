@@ -201,3 +201,19 @@ func TestLatestBaseline(t *testing.T) {
 		t.Errorf("latest = %s, want BENCH_2026-08-05.json", filepath.Base(got))
 	}
 }
+
+func TestHostMismatch(t *testing.T) {
+	same := Baseline{NumCPU: 2, GOMAXPROCS: 2}
+	if w := hostMismatch(same, 2, 2); w != "" {
+		t.Errorf("same host warned: %s", w)
+	}
+	if w := hostMismatch(same, 8, 8); !strings.Contains(w, "2 CPUs (GOMAXPROCS 2)") || !strings.Contains(w, "has 8 (GOMAXPROCS 8)") {
+		t.Errorf("different host: warning %q does not name both hosts", w)
+	}
+	if w := hostMismatch(same, 2, 1); w == "" {
+		t.Error("a GOMAXPROCS change alone must warn")
+	}
+	if w := hostMismatch(Baseline{}, 2, 2); !strings.Contains(w, "no host CPU count") {
+		t.Errorf("legacy baseline: warning %q", w)
+	}
+}

@@ -8,21 +8,22 @@ import (
 	"columbia/internal/analysis/ir"
 )
 
-// StopToken enforces the vmpi shutdown contract: when a rank panics with a
-// RunError, the engine broadcasts the stop token and every other rank
-// goroutine must observe it and unwind — otherwise goroutines leak across
-// sweep points and the fault-injection tests' goroutine-count gates fail.
-// Concretely, every `go` statement in internal/vmpi (test files exempt:
-// tests may spawn watchdogs freely) must start a function that is
+// StopToken enforces the vmpi shutdown contract: when a run fails, the
+// engine stops every parked rank and each must observe the stop token and
+// unwind — otherwise rank stacks leak across sweep points and the
+// fault-injection tests' goroutine-count gates fail. Concretely, every
+// `go` statement in internal/vmpi, and every function passed to iter.Pull
+// or iter.Pull2 (the rank coroutines), must run a function that is
 // stop-aware — its body references the stopToken type, or it calls a
-// same-package function that is, transitively. The check runs on the
-// goroutine body's control-flow graph: only references in blocks reachable
-// from entry count, so a token mention sitting in dead code no longer
-// satisfies the contract. The path-sensitive upgrade — must the token be
-// observed before every blocking operation — is scalelint's chanlive.
+// same-package function that is, transitively. Test files are exempt:
+// tests may spawn watchdogs freely. The check runs on the body's
+// control-flow graph: only references in blocks reachable from entry
+// count, so a token mention sitting in dead code no longer satisfies the
+// contract. The path-sensitive upgrade — must the token be observed before
+// every blocking operation — is scalelint's chanlive.
 var StopToken = &analysis.Analyzer{
 	Name: "stoptoken",
-	Doc:  "every goroutine started in internal/vmpi must observe the rank stop token",
+	Doc:  "every goroutine or coroutine started in internal/vmpi must observe the rank stop token",
 	Run:  runStopToken,
 }
 
@@ -37,12 +38,17 @@ func runStopToken(pass *analysis.Pass) error {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			gs, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			if !goIsStopAware(pass, gs, tok, aware) {
-				pass.Reportf(gs.Pos(), "goroutine started without referencing the rank stop token (stopToken); a rank that ignores the token outlives RunError shutdown and leaks across sweep points")
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				if !funcIsStopAware(pass, n.Call.Fun, tok, aware) {
+					pass.Reportf(n.Pos(), "goroutine started without referencing the rank stop token (stopToken); a rank that ignores the token outlives RunError shutdown and leaks across sweep points")
+				}
+			case *ast.CallExpr:
+				fn := calleeFunc(pass.TypesInfo, n)
+				if (pkgFunc(fn, "iter", "Pull") || pkgFunc(fn, "iter", "Pull2")) && len(n.Args) == 1 &&
+					!funcIsStopAware(pass, n.Args[0], tok, aware) {
+					pass.Reportf(n.Pos(), "coroutine started without referencing the rank stop token (stopToken); a coroutine that ignores the token keeps running after stop and leaks across sweep points")
+				}
 			}
 			return true
 		})
@@ -119,17 +125,18 @@ func callsStopAware(pass *analysis.Pass, n ast.Node, aware map[*types.Func]bool)
 	return found
 }
 
-// goIsStopAware reports whether the goroutine launched by gs is stop-aware:
+// funcIsStopAware reports whether the function expression f — a go
+// statement's callee or the function handed to iter.Pull — is stop-aware:
 // a function literal that observes stopToken in reachable code, or a named
 // same-package function that is stop-aware.
-func goIsStopAware(pass *analysis.Pass, gs *ast.GoStmt, tok *types.TypeName, aware map[*types.Func]bool) bool {
+func funcIsStopAware(pass *analysis.Pass, f ast.Expr, tok *types.TypeName, aware map[*types.Func]bool) bool {
 	if tok == nil {
 		return false // no stop token declared at all: every goroutine is a leak
 	}
-	if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
+	if lit, ok := ast.Unparen(f).(*ast.FuncLit); ok {
 		return bodyIsStopAware(pass, lit.Body, tok, aware)
 	}
-	if fn := calleeFunc(pass.TypesInfo, gs.Call); fn != nil {
+	if fn := calleeFunc(pass.TypesInfo, &ast.CallExpr{Fun: f}); fn != nil {
 		return aware[fn]
 	}
 	return false

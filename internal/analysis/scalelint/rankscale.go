@@ -20,14 +20,16 @@ import (
 // packages. A make whose size is tainted by a rank-count source, or an
 // append/go statement inside a loop whose trip count is, allocates or
 // spawns proportionally to the rank count — the exact shape that turns
-// into a scaling cliff at the >=100k ranks the roadmap targets. Every such
+// into a scaling cliff at the >=100k ranks the roadmap targets. A call to
+// iter.Pull or iter.Pull2 in such a loop starts one coroutine — a stack
+// plus its bookkeeping — per rank, and counts like a go statement. Every such
 // site must either live in a function annotated //perflint:pooled <reason>
 // (the arena and pool implementations, which exist to own rank-sized
 // allocations) or fit the committed budget in rankscale_budget.json,
 // regenerated by `go run ./cmd/perflint -write`.
 var RankScale = &analysis.Analyzer{
 	Name: "rankscale",
-	Doc:  "budget O(ranks) allocation and goroutine sites in the engine packages",
+	Doc:  "budget O(ranks) allocation, goroutine and coroutine sites in the engine packages",
 	Run: func(pass *analysis.Pass) error {
 		budget, err := EmbeddedRankBudget()
 		if err != nil {
@@ -124,8 +126,8 @@ func runRankScale(pass *analysis.Pass, budget *RankBudget) error {
 
 // RankSites returns every rank-scaled site in the files, in position
 // order: a make sized by a rank-tainted expression anywhere, and an
-// append or go statement inside a CFG loop whose trip count is
-// rank-tainted. Functions annotated //perflint:pooled are exempt, and
+// append, go statement or iter.Pull call inside a CFG loop whose trip
+// count is rank-tainted. Functions annotated //perflint:pooled are exempt, and
 // test files never contribute sites. Exported for cmd/perflint, which
 // regenerates the budget from the same walk.
 func RankSites(pkgPath string, fset *token.FileSet, files []*ast.File, info *types.Info) []RankSite {
@@ -188,6 +190,9 @@ func bodySites(key string, body *ast.BlockStmt, info *types.Info, dep func(ast.E
 				call, ok := sub.(*ast.CallExpr)
 				if !ok {
 					return true
+				}
+				if inLoop[b] && isPull(info, call) {
+					add(call.Pos(), "coroutine started once per rank")
 				}
 				switch builtinName(info, call) {
 				case "make":
@@ -317,6 +322,13 @@ func rankTaint(info *types.Info, body *ast.BlockStmt) (map[types.Object]bool, fl
 			return tainted, seed
 		}
 	}
+}
+
+// isPull reports whether call starts a coroutine: iter.Pull or iter.Pull2.
+func isPull(info *types.Info, call *ast.CallExpr) bool {
+	fn := flow.Callee(info, call)
+	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "iter" &&
+		(fn.Name() == "Pull" || fn.Name() == "Pull2")
 }
 
 // builtinName returns the name of the builtin a call invokes, or "".

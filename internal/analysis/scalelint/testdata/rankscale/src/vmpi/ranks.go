@@ -3,6 +3,8 @@
 // exactly one site in budgeted().
 package vmpi
 
+import "iter"
+
 type config struct{ Procs int }
 
 func worker(i int) { _ = i }
@@ -23,6 +25,19 @@ func perRankLoop(nranks int, data []int) []int {
 		go worker(i)                         // want `rankscale: .*goroutine started once per rank`
 	}
 	return out
+}
+
+// perRankCoroutines: iter.Pull in a rank loop starts one coroutine per
+// rank, exactly like a go statement; outside the loop it is a single site
+// and silent.
+func perRankCoroutines(ranks []int) []func() (int, bool) {
+	var nexts []func() (int, bool)
+	for range ranks {
+		next, _ := iter.Pull(func(yield func(int) bool) { yield(0) }) // want `rankscale: .*coroutine started once per rank`
+		nexts = append(nexts, next)                                   // want `rankscale: .*append growing once per rank`
+	}
+	once, _ := iter.Pull(func(yield func(int) bool) {})
+	return append(nexts, once)
 }
 
 // inductionSized: the loop induction variable i is itself rank-scaled, so

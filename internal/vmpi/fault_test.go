@@ -3,6 +3,7 @@ package vmpi
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -114,6 +115,22 @@ func TestFaultRankPanicCarriesStack(t *testing.T) {
 	}
 	if !strings.Contains(re.Stack, "explodingRankProgram") {
 		t.Errorf("stack does not name the panic site:\n%s", re.Stack)
+	}
+}
+
+// TestTagOutsideInt32Panics pins the mailbox key's 32-bit tag contract:
+// a wider tag would alias another tag's mailbox, so send and recv reject it.
+func TestTagOutsideInt32Panics(t *testing.T) {
+	cl := machine.NewSingleNode(machine.Altix3700)
+	for name, prog := range map[string]func(par.Comm){
+		"send": func(c par.Comm) { c.SendBytes(1-c.Rank(), 1<<32, 8) },
+		"recv": func(c par.Comm) { c.RecvBytes(1-c.Rank(), -1<<31-1) },
+	} {
+		_, err := TryRun(Config{Cluster: cl, Procs: 2}, prog)
+		var re *RunError
+		if !errors.As(err, &re) || re.Kind != ErrPanic || !strings.Contains(fmt.Sprint(re.PanicValue), "outside the int32 range") {
+			t.Errorf("%s: TryRun error = %v, want an int32-range panic", name, err)
+		}
 	}
 }
 

@@ -22,8 +22,10 @@ const fuzzOps = 64
 // exercises eager directed completion, deferred wildcard matching, FIFO
 // mailbox order, mismatched tags (deadlocks) and unmatched sends
 // (sanitizer findings). The interpreter never panics: panic stacks embed
-// goroutine ids, which are not comparable across runs.
-func fuzzProgram(ops []byte) func(par.Comm) {
+// goroutine ids, which are not comparable across runs. Every wildcard
+// match's source is appended to *matched (ranks run one at a time), so a
+// tie broken the wrong way shows even when the timing cannot.
+func fuzzProgram(ops []byte, matched *[]int) func(par.Comm) {
 	return func(c par.Comm) {
 		rank, size := c.Rank(), c.Size()
 		clock := c.(Clock)
@@ -45,7 +47,8 @@ func fuzzProgram(ops []byte) func(par.Comm) {
 			case 5: // gather to rank 0 via wildcard receives
 				if rank == 0 {
 					for s := 1; s < size; s++ {
-						any.RecvAny(7)
+						src, _ := any.RecvAny(7)
+						*matched = append(*matched, src)
 					}
 				} else {
 					c.SendBytes(0, 7, float64(arg%256+1)*8)
@@ -56,9 +59,11 @@ func fuzzProgram(ops []byte) func(par.Comm) {
 }
 
 // runFuzzProgram runs one interpreted program — on the reference engine
-// when reference is set, the calendar engine otherwise — and renders the outcome to a canonical string: the error text on failure, or
-// the bit-exact per-rank statistics on success (hex float bits, so even a
-// one-ULP timing divergence between engines is caught).
+// when reference is set, the calendar engine otherwise — and renders the
+// outcome to a canonical string: the error text on failure, or the
+// wildcard match order and the bit-exact per-rank statistics on success
+// (hex float bits, so even a one-ULP timing divergence between engines is
+// caught).
 func runFuzzProgram(program []byte, reference, sanitize bool) string {
 	procs := 2 + int(program[0])%6
 	ops := program[1:]
@@ -74,12 +79,13 @@ func runFuzzProgram(program []byte, reference, sanitize bool) string {
 	if reference {
 		ctx = WithReferenceEngine(ctx)
 	}
-	res, err := RunCtx(ctx, cfg, fuzzProgram(ops))
+	var matched []int
+	res, err := RunCtx(ctx, cfg, fuzzProgram(ops, &matched))
 	if err != nil {
 		return "error: " + err.Error()
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "time=%016x", math.Float64bits(res.Time))
+	fmt.Fprintf(&b, "wildcard=%v time=%016x", matched, math.Float64bits(res.Time))
 	for i, s := range res.Stats {
 		fmt.Fprintf(&b, "\nrank %d: compute=%016x comm=%016x finish=%016x",
 			i, math.Float64bits(s.Compute), math.Float64bits(s.Comm), math.Float64bits(s.Finish))

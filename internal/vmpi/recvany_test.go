@@ -7,6 +7,7 @@
 package vmpi_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -139,5 +140,54 @@ func TestRecvAnyTranscriptIdenticalAcrossWorkers(t *testing.T) {
 		if l != lines[0] {
 			t.Fatalf("point %d diverged:\n%s\nvs\n%s", i, l, lines[0])
 		}
+	}
+}
+
+// TestRecvAnyExactTiesMixedTags: three senders on one brick send a tag-8
+// and then a tag-7 message at the same virtual instants, so each tag's
+// three arrivals tie exactly (asserted: the receiver's clock does not move
+// between matches). The receiver's pending list interleaves both tags, and
+// every drained box is swap-deleted, so after the first match the tied
+// boxes no longer sit in source order — the lowest source must still win
+// every tie, on both engines.
+func TestRecvAnyExactTiesMixedTags(t *testing.T) {
+	cfg := vmpi.Config{Cluster: machine.NewSingleNode(machine.AltixBX2b), Procs: 8}
+	senders := []int{2, 3, 4} // one brick, one hop from rank 0's bus
+	run := func(ctx context.Context) string {
+		var got []string
+		res, err := vmpi.RunCtx(ctx, cfg, func(c par.Comm) {
+			switch c.Rank() {
+			case 0:
+				ar := c.(anyReceiver)
+				for _, tag := range []int{8, 7} {
+					var srcs []int
+					var at []float64
+					for range senders {
+						s, _ := ar.RecvAny(tag)
+						srcs = append(srcs, s)
+						at = append(at, c.Now())
+					}
+					if at[0] != at[1] || at[1] != at[2] {
+						t.Errorf("tag %d: arrivals %v are not an exact tie; the test no longer exercises the tie-break", tag, at)
+					}
+					got = append(got, fmt.Sprintf("tag%d=%v", tag, srcs))
+				}
+			case 2, 3, 4:
+				c.SendBytes(0, 8, 512)
+				c.SendBytes(0, 7, 512)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%s time=%.17g", strings.Join(got, " "), res.Time)
+	}
+	cal := run(context.Background())
+	ref := run(vmpi.WithReferenceEngine(context.Background()))
+	if cal != ref {
+		t.Errorf("engines disagree:\n calendar:  %s\n reference: %s", cal, ref)
+	}
+	if !strings.HasPrefix(cal, "tag8=[2 3 4] tag7=[2 3 4] ") {
+		t.Errorf("tied wildcard matches = %s, want the lowest source first for both tags", cal)
 	}
 }

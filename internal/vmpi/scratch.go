@@ -3,8 +3,7 @@ package vmpi
 import "columbia/internal/vmpi/calendar"
 
 // engineScratch is the allocation-heavy state of one engine run — rank
-// records (with their goroutine-parking channels, mailbox maps and mailbox
-// storage), the pooled message free list, the event calendar and the
+// records (with their mailbox maps, pending lists and mailbox storage), the pooled message free list, the event calendar and the
 // per-node occupancy clocks. A fresh engine used to rebuild all of it per
 // run, which put ~2M short-lived objects per sweep point on the GC; now a
 // completed run resets and recycles its scratch instead, so a steady-state
@@ -15,12 +14,10 @@ import "columbia/internal/vmpi/calendar"
 // each operate on private storage and never bounce cache lines through
 // per-message shared state — the pool's lock is taken twice per run, not
 // per operation. Only clean completions recycle; errored or canceled runs
-// drop theirs, because their mailboxes and rank goroutines are not
-// provably quiescent.
+// drop theirs, because their mailboxes are not provably quiescent.
 type engineScratch struct {
 	// ranks grows monotonically; a run slices off the prefix it needs, so
-	// the resume channels, mail maps and mailbox queues of past runs stay
-	// warm. Rank ids equal indices and never change.
+	// the mail maps and mailbox queues of past runs stay warm. Rank ids equal indices and never change.
 	ranks []*rankState
 	// msgs pools message structs across runs as well as within one.
 	msgs calendar.FreeList[message]
@@ -102,7 +99,7 @@ var scratchPool calendar.SharedPool[engineScratch]
 // acquireScratch draws a scratch — from the run's arena when it has one,
 // else the process-wide pool — and readies it for a run of procs ranks on
 // a cluster of nodes boxes. Missing rank records are created; existing ones
-// are reset but keep their mailbox storage and parking channel.
+// are reset but keep their mailbox storage.
 //
 //perflint:pooled the scratch pool owns the per-rank records; growing them here is how reuse amortizes them
 func acquireScratch(a *Arena, procs, nodes int) *engineScratch {
@@ -112,9 +109,8 @@ func acquireScratch(a *Arena, procs, nodes int) *engineScratch {
 	}
 	for len(s.ranks) < procs {
 		s.ranks = append(s.ranks, &rankState{
-			id:     len(s.ranks),
-			resume: make(chan struct{}),
-			mail:   make(map[mailKey]*msgq),
+			id:   len(s.ranks),
+			mail: make(map[uint64]*msgq),
 		})
 	}
 	for _, r := range s.ranks[:procs] {
@@ -128,11 +124,11 @@ func acquireScratch(a *Arena, procs, nodes int) *engineScratch {
 
 // recycle drains the run's leftover state back into the scratch and returns
 // it to the pool. Only called after a clean completion, when every rank
-// goroutine has exited: unmatched messages may legally remain queued (the
+// coroutine has finished: unmatched messages may legally remain queued (the
 // sanitizer is what forbids them, and it fails the run instead), so each
-// rank's mailboxes are emptied through its boxes list — never by ranging
-// the mail map — and the structs go back to the free list with payloads
-// dropped, so no stale data can leak into a later run.
+// rank's pending mailboxes are emptied — never by ranging the mail map —
+// and the structs go back to the free list with payloads dropped, so no
+// stale data or pending entry can leak into a later run.
 func (e *engine) recycle() {
 	s := e.scr
 	if s == nil {
@@ -140,14 +136,20 @@ func (e *engine) recycle() {
 	}
 	e.scr = nil
 	for _, r := range e.ranks {
-		for _, q := range r.boxes {
+		for i, q := range r.pending {
 			for q.Len() > 0 {
 				m := q.Pop()
 				m.data = nil
 				s.msgs.Put(m)
 			}
+			r.pending[i] = nil
 		}
+		r.pending = r.pending[:0]
 		r.recvResult = nil
+		r.next, r.stop, r.park = nil, nil, nil
+		// The comm points at this engine; a pooled record must not pin it
+		// (and its sanitizer clocks) until a later run overwrites it.
+		r.api = comm{}
 	}
 	// Scratches go home: an arena-backed run refills its own arena so the
 	// worker's next leaf reuses the same family-shaped state, and only
@@ -157,9 +159,9 @@ func (e *engine) recycle() {
 	}
 }
 
-// reset readies a pooled rank record for its next run. mail and boxes are
-// deliberately kept: mailboxes were drained by recycle, and reusing them is
-// most of the win. id and resume are immutable across runs.
+// reset readies a pooled rank record for its next run. mail and pending are
+// deliberately kept: recycle drained both, and reusing the mailboxes is
+// most of the win. id is immutable across runs.
 func (r *rankState) reset() {
 	r.now = 0
 	r.compute = 0

@@ -7,7 +7,7 @@
 //
 // # Simulation semantics
 //
-// Ranks are goroutines scheduled cooperatively: exactly one runs at a time,
+// Ranks are coroutines scheduled cooperatively: exactly one runs at a time,
 // and the engine always resumes the runnable rank with the smallest virtual
 // clock, so execution is deterministic. Sends are buffered
 // (asynchronous-complete): the sender pays an initiation overhead and
@@ -31,15 +31,17 @@
 // # Execution engines
 //
 // Every run uses the event-calendar engine: an O(log P) min-heap of
-// (time, rank) wake events with lazy invalidation, direct
-// goroutine-to-goroutine handoff (the yielding rank resumes the next one
-// itself — one channel operation per switch, zero when the yielder is
-// still the earliest), and free-listed message/mailbox storage so the hot
-// send/recv path does not allocate.
+// (time, rank) wake events with lazy invalidation, one iter.Pull coroutine
+// per rank resumed by a run loop (a yielding rank that is still the
+// earliest event just keeps running, with no switch at all), mailboxes
+// keyed by one packed (source, tag) word, a per-rank pending list of
+// non-empty mailboxes so a wildcard match costs O(pending) rather than
+// O(P), and free-listed message/mailbox storage so the hot send/recv path
+// does not allocate.
 //
 // The original central-loop scheduler, which scans every rank for the
-// smallest clock and round-trips two channel handoffs per scheduling
-// step, is kept only as the reference engine: the executable
+// smallest clock and matches wildcards by a source-order scan of every
+// mailbox, is kept only as the reference engine: the executable
 // specification the calendar engine is differentially tested against.
 // Tests select it per run with WithReferenceEngine; it is never a
 // configuration option and never enters a fingerprint. See DESIGN.md §8
@@ -174,7 +176,13 @@ const (
 	stDone
 )
 
-type mailKey struct{ src, tag int }
+// mailKey packs a (source, tag) mailbox address into one word, so the mail
+// map hashes a uint64 on the runtime's fast path instead of a struct. Both
+// halves are 32 bits: send and recv reject tags outside the int32 range
+// (checkTag), which would otherwise share a mailbox with another tag.
+func mailKey(src, tag int) uint64 {
+	return uint64(uint32(src))<<32 | uint64(uint32(tag))
+}
 
 type message struct {
 	src, tag int
@@ -188,8 +196,14 @@ type message struct {
 // msgq is one mailbox: a FIFO of messages for a (source, tag) pair. Empty
 // mailboxes stay in the mail map so their storage is reused — the par
 // collectives draw tags from bounded per-collective blocks, so the key
-// space of a run is bounded and the steady state allocates nothing.
-type msgq = calendar.Queue[*message]
+// space of a run is bounded and the steady state allocates nothing. The
+// box's address is not stored: a non-empty box reads it off its head
+// message.
+type msgq struct {
+	calendar.Queue[*message]
+	// pos is the box's index in its rank's pending list while non-empty.
+	pos int32
+}
 
 type rankState struct {
 	id      int
@@ -197,8 +211,20 @@ type rankState struct {
 	compute float64
 	comm    float64
 	status  status
-	resume  chan struct{}
-	mail    map[mailKey]*msgq
+	mail    map[uint64]*msgq
+	// pending lists the non-empty mailboxes, in no particular order: a box
+	// joins when a push fills it and is swap-deleted when a pop drains it,
+	// so the calendar engine's wildcard match scans only queued traffic.
+	pending []*msgq
+	// next resumes the rank's coroutine until it parks or finishes; stop
+	// unwinds it (see spawn). park, valid inside the coroutine, suspends it
+	// and reports false once stop was called.
+	next func() (struct{}, bool)
+	stop func()
+	park func(struct{}) bool
+	// api is the par.Comm handed to the rank program, kept in the pooled
+	// record so starting a rank does not allocate one per run.
+	api comm
 	// Pending receive when blocked.
 	wantSrc, wantTag int
 	recvResult       *message
@@ -208,10 +234,6 @@ type rankState struct {
 	// new queue-head message updates the wake event in O(1).
 	seq     uint32
 	anyWake float64
-	// boxes lists every mailbox ever created for this rank, in creation
-	// order — the deterministic iteration recycle uses to drain leftover
-	// messages without ranging the mail map.
-	boxes []*msgq
 }
 
 type engine struct {
@@ -221,7 +243,6 @@ type engine struct {
 	threads    int
 	subPlace   []*machine.Placement // per-rank thread slots, Threads > 1
 	ranks      []*rankState
-	parked     chan *rankState
 	linkBusy   []float64 // per node: internode capacity next-free time
 	fabricBusy []float64 // per node: intra-node cross-brick capacity next-free time
 	inBarrier  int
@@ -239,10 +260,8 @@ type engine struct {
 	// arena, when non-nil, is where this run's scratch came from and where
 	// recycle returns it (worker-private runs under WithArena).
 	arena *Arena
-	// runErr records the first rank failure; stopping tells resumed ranks
-	// to unwind via stopToken so shutdown leaks no goroutines.
-	runErr   *RunError
-	stopping bool
+	// runErr records the first rank failure.
+	runErr *RunError
 	// msgs pools message structs: the hot send/recv path reuses them
 	// instead of allocating one per simulated message. Payload slices are
 	// never pooled — ownership transfers to the receiving program. It lives
@@ -254,19 +273,17 @@ type engine struct {
 	scr *engineScratch
 	// Calendar-engine state (cal selects it). heap orders wake events by
 	// (time, rank); ctx is the run's context, checked at every dispatch;
-	// active counts unfinished ranks; done signals the caller that the run
-	// ended (completion or first error); acks acknowledges shutdown
-	// unwinding. All fields are guarded by the strict one-runner-at-a-time
-	// handoff discipline — channel operations order every access.
-	cal    bool
-	ctx    context.Context
-	heap   *calendar.Heap
-	active int
-	done   chan struct{}
-	acks   chan struct{}
+	// active counts unfinished ranks; handoff is the rank a parking or
+	// exiting rank chose to run next, nil when the run is over. Exactly one
+	// coroutine runs at a time, so no field needs a lock.
+	cal     bool
+	ctx     context.Context
+	heap    *calendar.Heap
+	active  int
+	handoff *rankState
 }
 
-// stopToken unwinds a rank goroutine during shutdown; the recover handler
+// stopToken unwinds a rank coroutine during shutdown; the recover handler
 // recognizes it and does not record it as a rank panic.
 type stopToken struct{}
 
@@ -291,7 +308,7 @@ func TryRun(cfg Config, fn func(par.Comm)) (Result, error) {
 
 // RunCtx is TryRun under a context: cancellation or a deadline stops the
 // simulation at its next scheduling step (every compute or communication
-// operation is one), shuts every rank goroutine down cleanly, and returns
+// operation is one), shuts every rank coroutine down cleanly, and returns
 // an ErrCanceled or ErrTimeout RunError. Rank programs that loop without
 // ever touching their Comm cannot be preempted; none of the workloads in
 // this repository do that.
@@ -305,125 +322,84 @@ func RunCtx(ctx context.Context, cfg Config, fn func(par.Comm)) (Result, error) 
 	if e.cal {
 		res, err = e.runCalendar(ctx)
 	} else {
-		res, err = e.runGoroutine(ctx)
+		res, err = e.runReference(ctx)
+	}
+	// Unwind every rank still parked (a failed or canceled run); stopping a
+	// finished coroutine is a no-op.
+	for _, r := range e.ranks {
+		r.stop()
 	}
 	if err == nil {
-		// Every rank goroutine has exited; hand the run's storage back to
-		// the scratch pool so the next run starts warm. Failed or canceled
-		// runs drop theirs — cheap, and provably safe.
+		// Every rank has finished; hand the run's storage back to the
+		// scratch pool so the next run starts warm. Failed or canceled runs
+		// drop theirs — cheap, and provably safe.
 		e.recycle()
 	}
 	return res, err
 }
 
-// spawn starts one goroutine per rank, parked until its first resume. The
-// goroutines are the rank programs' coroutine stacks under both engines;
-// they differ only in who hands control where when a rank exits (rankExit).
-func (e *engine) spawn(fn func(par.Comm)) {
-	for i := range e.ranks {
-		r := e.ranks[i]
-		go func(r *rankState) {
-			//detlint:allow chanlive parked ranks are woken by the shutdown broadcast, which resumes every rank before stopping is checked
-			<-r.resume
-			defer e.rankExit(r)
-			if e.stopping {
-				panic(stopToken{})
-			}
-			fn(&comm{e: e, r: r})
-		}(r)
-	}
-}
-
-// rankExit is the deferred tail of every rank goroutine: it converts rank
-// panics into the run's error (stopToken unwinding excepted), marks the
-// rank done, and hands control onward — to the central scheduler loop
-// under the reference engine, or to the next calendar event (or the
-// caller, via done) under the calendar engine.
+// rankExit is the deferred tail of every rank coroutine: it converts rank
+// panics into the run's error, marks the rank done and, under the calendar
+// engine, picks the next rank to run. A stopToken panic is shutdown
+// unwinding, not a failure, and schedules nothing. Every panic is
+// recovered here, so none escapes the coroutine into the run loop.
 func (e *engine) rankExit(r *rankState) {
-	if p := recover(); p != nil {
-		if _, stop := p.(stopToken); !stop && e.runErr == nil {
-			e.runErr = &RunError{
-				Kind:       ErrPanic,
-				Rank:       r.id,
-				PanicValue: p,
-				Stack:      string(debug.Stack()),
-			}
-		}
-	}
+	p := recover()
 	r.status = stDone
-	if !e.cal {
-		e.parked <- r
+	if _, stop := p.(stopToken); stop {
 		return
 	}
-	if e.stopping {
-		e.acks <- struct{}{}
+	if p != nil && e.runErr == nil {
+		e.runErr = &RunError{
+			Kind:       ErrPanic,
+			Rank:       r.id,
+			PanicValue: p,
+			Stack:      string(debug.Stack()),
+		}
+	}
+	if !e.cal {
 		return
 	}
 	e.active--
-	if e.runErr != nil || e.active == 0 {
-		e.done <- struct{}{}
-		return
-	}
-	if next := e.calNext(); next != nil {
-		next.status = stRunning
-		next.resume <- struct{}{}
-	} else {
-		e.done <- struct{}{}
+	if e.runErr == nil && e.active > 0 {
+		e.handoff = e.calNext()
 	}
 }
 
-// runGoroutine is the reference engine (WithReferenceEngine): a central
-// loop that repeatedly scans for the rank with the smallest virtual clock,
-// resumes it, and waits for it to park. Two channel handoffs and one O(P)
-// scan per scheduling step.
-func (e *engine) runGoroutine(ctx context.Context) (Result, error) {
+// runReference is the reference engine (WithReferenceEngine): a central
+// loop that repeatedly scans for the rank with the smallest virtual clock
+// and resumes it until it parks. One O(P) scan per scheduling step.
+func (e *engine) runReference(ctx context.Context) (Result, error) {
 	active := len(e.ranks)
 	for active > 0 {
 		if cerr := ctx.Err(); cerr != nil {
-			e.shutdown()
-			kind := ErrCanceled
-			if cerr == context.DeadlineExceeded {
-				kind = ErrTimeout
-			}
-			return Result{}, &RunError{Kind: kind, Rank: -1, Msg: cerr.Error(), Err: cerr}
+			return Result{}, ctxErr(cerr)
 		}
 		r := e.pickReady()
 		if e.runErr != nil {
 			// A deferred wildcard match inside pickReady can raise a
 			// sanitizer violation on the scheduler itself.
-			e.shutdown()
 			return Result{}, e.runErr
 		}
 		if r == nil {
-			derr := e.deadlockErr()
-			e.shutdown()
-			return Result{}, derr
+			return Result{}, e.deadlockErr()
 		}
 		r.status = stRunning
-		r.resume <- struct{}{}
-		p := <-e.parked
+		r.next()
 		if e.runErr != nil {
-			e.shutdown()
 			return Result{}, e.runErr
 		}
-		if p.status == stDone {
+		if r.status == stDone {
 			active--
 		}
 	}
-	if e.san != nil {
-		if v := e.san.Finalize(); v != nil {
-			e.sanFail(v)
-			return Result{}, e.runErr
-		}
-	}
-	return e.result(), nil
+	return e.finish()
 }
 
-// runCalendar is the event-calendar engine's caller side: it seeds the
-// heap with every rank's start event, dispatches the first rank, and then
-// blocks until a rank signals the end of the run. All scheduling decisions
-// after the first happen on the rank goroutines themselves (calYield,
-// rankExit), which hand control directly to the next event's rank.
+// runCalendar is the event-calendar engine's run loop: it seeds the heap
+// with every rank's start event and resumes ranks in event order. The
+// scheduling decisions happen on the rank side (yield, rankExit), which
+// leave the next event's rank in e.handoff; a nil handoff ends the run.
 func (e *engine) runCalendar(ctx context.Context) (Result, error) {
 	e.ctx = ctx
 	e.active = len(e.ranks)
@@ -432,18 +408,19 @@ func (e *engine) runCalendar(ctx context.Context) (Result, error) {
 	}
 	// calNext checks the context first, so — like the reference engine —
 	// an already-canceled run fails before its first rank executes.
-	first := e.calNext()
-	if first == nil {
-		e.shutdown()
-		return Result{}, e.runErr
+	for r := e.calNext(); r != nil; r = e.handoff {
+		e.handoff = nil
+		r.status = stRunning
+		r.next()
 	}
-	first.status = stRunning
-	first.resume <- struct{}{}
-	<-e.done
 	if e.runErr != nil {
-		e.shutdown()
 		return Result{}, e.runErr
 	}
+	return e.finish()
+}
+
+// finish runs the sanitizer's end-of-run checks and assembles the result.
+func (e *engine) finish() (Result, error) {
 	if e.san != nil {
 		if v := e.san.Finalize(); v != nil {
 			e.sanFail(v)
@@ -451,6 +428,16 @@ func (e *engine) runCalendar(ctx context.Context) (Result, error) {
 		}
 	}
 	return e.result(), nil
+}
+
+// ctxErr converts a context error into the run's canceled or timed-out
+// failure.
+func ctxErr(cerr error) *RunError {
+	kind := ErrCanceled
+	if cerr == context.DeadlineExceeded {
+		kind = ErrTimeout
+	}
+	return &RunError{Kind: kind, Rank: -1, Msg: cerr.Error(), Err: cerr}
 }
 
 // calPush schedules rank r to be pickable at virtual time at, superseding
@@ -467,11 +454,7 @@ func (e *engine) calPush(r *rankState, at float64) {
 // calendar (deadlock: every live rank is blocked with no wake event).
 func (e *engine) calNext() *rankState {
 	if cerr := e.ctx.Err(); cerr != nil {
-		kind := ErrCanceled
-		if cerr == context.DeadlineExceeded {
-			kind = ErrTimeout
-		}
-		e.runErr = &RunError{Kind: kind, Rank: -1, Msg: cerr.Error(), Err: cerr}
+		e.runErr = ctxErr(cerr)
 		return nil
 	}
 	if e.runErr != nil {
@@ -494,48 +477,6 @@ func (e *engine) calNext() *rankState {
 			}
 		}
 		return r
-	}
-}
-
-// calYield is the calendar engine's park: the yielding rank dispatches the
-// next event's rank itself and blocks until its own next event pops. When
-// the yielder is still the earliest event, it just keeps running — zero
-// channel operations. When the run is over (calNext returned nil), the
-// yielder signals the caller and parks so shutdown can unwind it.
-func (e *engine) calYield(r *rankState) {
-	next := e.calNext()
-	if next == r {
-		r.status = stRunning
-		return
-	}
-	if next != nil {
-		next.status = stRunning
-		next.resume <- struct{}{}
-	} else {
-		e.done <- struct{}{}
-	}
-	<-r.resume
-	if e.stopping {
-		panic(stopToken{})
-	}
-}
-
-// shutdown resumes every live rank with stopping set so it unwinds through
-// stopToken; after it returns no rank goroutine is left behind. Under the
-// reference engine the unwinding rank parks on e.parked as usual; under the
-// calendar engine it acknowledges on e.acks (rankExit).
-func (e *engine) shutdown() {
-	e.stopping = true
-	for _, r := range e.ranks {
-		if r.status == stDone {
-			continue
-		}
-		r.resume <- struct{}{}
-		if e.cal {
-			<-e.acks
-		} else {
-			<-e.parked
-		}
 	}
 }
 
@@ -566,12 +507,6 @@ func newEngine(cfg Config, arena *Arena, reference bool) (e *engine, err error) 
 		cal:        !reference,
 		computeFac: cfg.ComputeFactor,
 		faults:     cfg.Faults,
-	}
-	if e.cal {
-		e.done = make(chan struct{})
-		e.acks = make(chan struct{})
-	} else {
-		e.parked = make(chan *rankState)
 	}
 	if cfg.Sanitize {
 		e.san = commsan.New(cfg.Procs)
@@ -677,23 +612,57 @@ func (e *engine) pickReady() *rankState {
 // earliestAny returns the earliest arrival among queued messages that could
 // satisfy r's pending wildcard receive.
 func (e *engine) earliestAny(r *rankState) (float64, bool) {
-	arr := math.Inf(1)
-	found := false
-	for s := 0; s < len(e.ranks); s++ {
-		if q := r.mail[mailKey{s, r.wantTag}]; q != nil && q.Len() > 0 && q.Peek().arrival < arr {
-			arr = q.Peek().arrival
-			found = true
+	q := e.anyBox(r, r.wantTag)
+	if q == nil {
+		return 0, false
+	}
+	return q.Peek().arrival, true
+}
+
+// anyBox returns the mailbox a wildcard receive on tag matches next: the
+// earliest head arrival, ties to the lowest source; nil when nothing is
+// queued. The calendar engine scans only r's pending (non-empty) boxes, in
+// whatever order swap-deletes left them, so the tie-break is explicit.
+func (e *engine) anyBox(r *rankState, tag int) *msgq {
+	if !e.cal {
+		return e.scanAny(r, tag)
+	}
+	var best *msgq
+	var head *message
+	for _, q := range r.pending {
+		m := q.Peek()
+		if m.tag != tag {
+			continue
+		}
+		//detlint:allow floatcmp equal arrivals are a true tie, broken by the lowest source exactly as the reference scan's strict < does
+		if best == nil || m.arrival < head.arrival || (m.arrival == head.arrival && m.src < head.src) {
+			best, head = q, m
 		}
 	}
-	return arr, found
+	return best
+}
+
+// scanAny is the reference engine's wildcard match: a source-order scan of
+// every possible mailbox, where the strict < keeps the lowest source on
+// tied arrivals. It deliberately ignores the pending list, so the
+// differential tests check the calendar engine's match against an
+// independent derivation.
+func (e *engine) scanAny(r *rankState, tag int) *msgq {
+	var best *msgq
+	for s := range e.ranks {
+		if q := r.mail[mailKey(s, tag)]; q != nil && q.Len() > 0 && (best == nil || q.Peek().arrival < best.Peek().arrival) {
+			best = q
+		}
+	}
+	return best
 }
 
 // anyCandidates returns the sanitizer ledger ids of the queue-head messages
-// that could satisfy r's pending wildcard receive.
+// that could satisfy r's pending wildcard receive, in source order.
 func (e *engine) anyCandidates(r *rankState) []int {
 	var ids []int
-	for s := 0; s < len(e.ranks); s++ {
-		if q := r.mail[mailKey{s, r.wantTag}]; q != nil && q.Len() > 0 {
+	for s := range e.ranks {
+		if q := r.mail[mailKey(s, r.wantTag)]; q != nil && q.Len() > 0 {
 			ids = append(ids, q.Peek().sid)
 		}
 	}
@@ -826,17 +795,21 @@ func (e *engine) waitStep(r *rankState) CycleStep {
 	return st
 }
 
-// yield parks the calling rank goroutine and hands control to the engine:
-// the central scheduler loop (reference engine) or the next event's rank
-// directly (calendar engine).
+// yield parks the calling rank and hands control back to the run loop.
+// Under the calendar engine the rank first picks the next event's rank
+// itself, and when that is the rank again it keeps running with no switch
+// at all. A park that reports false means shutdown stopped the coroutine:
+// the rank unwinds through stopToken.
 func (e *engine) yield(r *rankState) {
 	if e.cal {
-		e.calYield(r)
-		return
+		next := e.calNext()
+		if next == r {
+			r.status = stRunning
+			return
+		}
+		e.handoff = next
 	}
-	e.parked <- r
-	<-r.resume
-	if e.stopping {
+	if !r.park(struct{}{}) {
 		panic(stopToken{})
 	}
 }
@@ -861,6 +834,7 @@ func (e *engine) send(r *rankState, dst, tag int, bytes float64, data []float64)
 	if dst < 0 || dst >= len(e.ranks) {
 		panic(fmt.Sprintf("vmpi: rank %d sent to invalid rank %d", r.id, dst))
 	}
+	checkTag(r, tag)
 	a := e.slot(r.id, 0)
 	b := e.slot(dst, 0)
 	lat := e.net.Latency(a, b)
@@ -942,14 +916,17 @@ func (e *engine) send(r *rankState, dst, tag int, bytes float64, data []float64)
 		m.sid = e.san.Send(r.id, dst, tag, bytes, start)
 	}
 	d := e.ranks[dst]
-	k := mailKey{r.id, tag}
+	k := mailKey(r.id, tag)
 	q := d.mail[k]
 	if q == nil {
 		q = e.scr.newMsgq()
 		d.mail[k] = q
-		d.boxes = append(d.boxes, q)
 	}
 	newHead := q.Len() == 0
+	if newHead {
+		q.pos = int32(len(d.pending))
+		d.pending = append(d.pending, q)
+	}
 	q.Push(m)
 	// Only directed receivers wake eagerly; wildcard receives stay parked
 	// until pickReady proves their earliest candidate is globally minimal
@@ -981,30 +958,33 @@ func (e *engine) send(r *rankState, dst, tag int, bytes float64, data []float64)
 // picks the earliest arrival (ties to the lowest source rank) for
 // determinism.
 func (e *engine) match(r *rankState, src, tag int) *message {
-	if src != AnySource {
-		q := r.mail[mailKey{src, tag}]
-		if q == nil || q.Len() == 0 {
-			return nil
-		}
-		m := q.Pop() // drained queues keep their storage for the next send
-		if e.san != nil {
-			e.san.Match(m.sid, r.id)
-		}
-		return m
+	var q *msgq
+	if src == AnySource {
+		q = e.anyBox(r, tag)
+	} else {
+		q = r.mail[mailKey(src, tag)]
 	}
-	bestSrc := -1
-	bestArr := math.Inf(1)
-	for s := 0; s < len(e.ranks); s++ {
-		q := r.mail[mailKey{s, tag}]
-		if q != nil && q.Len() > 0 && q.Peek().arrival < bestArr {
-			bestArr = q.Peek().arrival
-			bestSrc = s
-		}
-	}
-	if bestSrc < 0 {
+	if q == nil || q.Len() == 0 {
 		return nil
 	}
-	return e.match(r, bestSrc, tag)
+	m := q.Pop() // drained queues keep their storage for the next send
+	if q.Len() == 0 {
+		r.unpend(q)
+	}
+	if e.san != nil {
+		e.san.Match(m.sid, r.id)
+	}
+	return m
+}
+
+// unpend swap-deletes a just-drained mailbox from r's pending list.
+func (r *rankState) unpend(q *msgq) {
+	last := len(r.pending) - 1
+	moved := r.pending[last]
+	moved.pos = q.pos
+	r.pending[q.pos] = moved
+	r.pending[last] = nil
+	r.pending = r.pending[:last]
 }
 
 // release returns a fully consumed message to the pool. Callers must have
@@ -1034,10 +1014,18 @@ func (e *engine) completeRecv(d *rankState) {
 	d.status = stReady
 }
 
+// checkTag panics on a tag that does not fit the 32-bit half of mailKey.
+func checkTag(r *rankState, tag int) {
+	if tag != int(int32(tag)) {
+		panic(fmt.Sprintf("vmpi: rank %d used tag %d outside the int32 range", r.id, tag))
+	}
+}
+
 func (e *engine) recv(r *rankState, src, tag int) *message {
 	if src != AnySource && (src < 0 || src >= len(e.ranks)) {
 		panic(fmt.Sprintf("vmpi: rank %d receives from invalid rank %d", r.id, src))
 	}
+	checkTag(r, tag)
 	if src == AnySource {
 		// Wildcard receives always defer to the scheduler, even when a
 		// candidate is already queued: a not-yet-issued send could still
