@@ -11,9 +11,12 @@ package columbia
 // called out in DESIGN.md.
 
 import (
+	"fmt"
+	"os"
 	"testing"
 
 	"columbia/internal/core"
+	"columbia/internal/dist"
 	"columbia/internal/hpcc"
 	"columbia/internal/machine"
 	"columbia/internal/md"
@@ -26,6 +29,24 @@ import (
 	"columbia/internal/sweep"
 	"columbia/internal/vmpi"
 )
+
+// TestMain lets the test binary double as the worker executable for
+// BenchmarkSweepWorkers, under the COLUMBIA_WORKER=1 convention
+// cmd/columbia uses. The benchmark's handshake carries no fault plan or
+// noise spec, so the worker serves points under the default run config.
+func TestMain(m *testing.M) {
+	if os.Getenv("COLUMBIA_WORKER") == "1" {
+		err := dist.ServeWorker(os.Stdin, os.Stdout, func(dist.Hello) (dist.Executor, error) {
+			return core.ExecutePoint, nil
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "worker:", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 func benchExperiment(b *testing.B, id string) {
 	e, err := core.Lookup(id)
@@ -78,6 +99,46 @@ func BenchmarkSweepSerial(b *testing.B)   { benchSweepAll(b, 1) }
 func BenchmarkSweepJ2(b *testing.B)       { benchSweepAll(b, 2) }
 func BenchmarkSweepJ4(b *testing.B)       { benchSweepAll(b, 4) }
 func BenchmarkSweepParallel(b *testing.B) { benchSweepAll(b, 8) }
+
+// BenchmarkSweepWorkers times the BenchmarkSweepJ2 sweep with every point
+// executed by 2 supervised worker processes — the work of `columbia -j 2
+// -workers 2 all`. Each iteration starts a fresh fleet (workers spawn on
+// their first point) and a cold cache. It is not part of the -j scaling
+// curve.
+func BenchmarkSweepWorkers(b *testing.B) {
+	exe, err := os.Executable()
+	if err != nil {
+		b.Fatal(err)
+	}
+	exps := core.Experiments()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep.SetWorkers(2) // fresh pool, cold cache
+		fleet, err := dist.New(dist.Config{
+			Workers: 2,
+			Spawn:   func() (dist.Proc, error) { return dist.StartProc(exe, os.Stderr, "COLUMBIA_WORKER=1") },
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		core.SetDispatcher(fleet)
+		futs := make([]sweep.Future[[]*report.Table], 0, len(exps))
+		for _, e := range exps {
+			futs = append(futs, sweep.Go(sweep.Default(), e.Run))
+		}
+		for _, f := range futs {
+			for _, t := range f.Wait() {
+				if t.Failures > 0 {
+					b.Fatalf("%s: %d failed points", t.Title, t.Failures)
+				}
+			}
+		}
+		core.SetDispatcher(nil)
+		fleet.Close()
+	}
+	b.StopTimer()
+	sweep.SetWorkers(0)
+}
 
 // BenchmarkSweepEnsemble times a noise-ensemble sweep: fig7 (the lightest
 // experiment whose points run real vmpi compute phases) at 5 replicas

@@ -47,7 +47,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"os/signal"
 	"sort"
 	"strings"
@@ -126,49 +125,6 @@ func runConfig(faults, noiseSpec string, sanitize bool) (core.RunConfig, error) 
 	return rc, nil
 }
 
-// workerProc adapts an os/exec worker to dist.Proc: Write feeds its stdin,
-// Read drains its stdout, Kill terminates and reaps it.
-type workerProc struct {
-	cmd    *exec.Cmd
-	stdin  io.WriteCloser
-	stdout io.ReadCloser
-}
-
-func (p *workerProc) Read(b []byte) (int, error)  { return p.stdout.Read(b) }
-func (p *workerProc) Write(b []byte) (int, error) { return p.stdin.Write(b) }
-
-func (p *workerProc) Kill() error {
-	p.stdin.Close()
-	_ = p.cmd.Process.Kill()
-	err := p.cmd.Wait()
-	p.stdout.Close()
-	return err
-}
-
-// spawnWorker re-executes this binary in worker mode. The COLUMBIA_WORKER
-// variable, not a flag, selects the mode so the test binary can intercept
-// it in TestMain before the test framework parses anything.
-func spawnWorker(exe string, stderr io.Writer) (dist.Proc, error) {
-	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(), "COLUMBIA_WORKER=1")
-	cmd.Stderr = stderr
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return nil, err
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		stdin.Close()
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		stdin.Close()
-		stdout.Close()
-		return nil, err
-	}
-	return &workerProc{cmd: cmd, stdin: stdin, stdout: stdout}, nil
-}
-
 // rendered is one experiment's output plus its degraded-cell accounting.
 type rendered struct {
 	text     string
@@ -234,7 +190,10 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		}
 		fleet, err = dist.New(dist.Config{
 			Workers: *workers,
-			Spawn:   func() (dist.Proc, error) { return spawnWorker(exe, stderr) },
+			// The COLUMBIA_WORKER variable, not a flag, selects worker mode
+			// so the test binary can intercept it in TestMain before the
+			// test framework parses anything.
+			Spawn: func() (dist.Proc, error) { return dist.StartProc(exe, stderr, "COLUMBIA_WORKER=1") },
 			Hello: dist.Hello{
 				Faults:    rc.Faults.Fingerprint(),
 				Commsan:   rc.Sanitize,

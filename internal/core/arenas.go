@@ -12,11 +12,17 @@ import (
 // pool gets one vmpi.Arena per worker slot, installed into the context each
 // leaf attempt runs under, so the engines a leaf starts (vmpi.RunCtx) draw
 // their rank records, mailboxes and slabs from the slot's private arena.
-// Combined with the pool's family-affine slot scheduling, each worker's
-// arena stays shaped by the workload family it keeps re-running — small,
-// hot mail maps instead of one union-of-everything scratch — which is what
-// makes `columbia all -j N` scale (and on a single CPU still edge out -j 1;
-// see DESIGN.md).
+// An arena holds one rank count's working set, and the pool's rank-count
+// affine slot scheduling keeps handing each slot leaves of one count, so
+// its mail maps stay small and hot instead of growing into a union of every
+// scale's — which is what makes `columbia all -j N` scale (and on a single
+// CPU still edge out -j 1; see DESIGN.md).
+
+// workerArena backs the points a worker process serves (ExecutePoint). A
+// worker serves one point at a time, so one arena is enough; a concurrent
+// caller falls back to the process-wide scratch pool.
+var workerArena = vmpi.NewArena()
+
 func init() {
 	sweep.RegisterWorkerContext(func(workers int) sweep.WorkerContext {
 		arenas := make([]*vmpi.Arena, workers)
@@ -33,8 +39,8 @@ func init() {
 	// by how many ranks it runs, and is largely shared between different
 	// workloads at the same scale. Keying affinity on the fingerprint's
 	// |p=N| field sends every 2048-rank leaf to one slot and every 64-rank
-	// leaf to another, so each arena accumulates one scale's mailbox
-	// universe instead of all of them.
+	// leaf to another, so each slot's arena keeps serving its own scale
+	// instead of being rebuilt on every switch.
 	sweep.RegisterAffinity(func(key string) string {
 		if i := strings.Index(key, "|p="); i >= 0 {
 			j := i + 1

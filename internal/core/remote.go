@@ -286,9 +286,11 @@ func submitReplica[T any](rc RunConfig, spec PointSpec) sweep.Future[T] {
 
 // ExecutePoint is the worker-process side of submitPoint: it rebuilds the
 // point from its wire spec under the installed RunConfig (loaded once per
-// request), verifies the key the supervisor routed by is the key this
+// request), verifies the key the supervisor sent is the key this
 // binary derives (catching any builder skew between parent and worker
-// binaries), runs the point under ctx, and serializes the result. It satisfies dist.Executor; cmd/columbia wires it in.
+// binaries), runs the point under ctx and the process's worker arena, and
+// serializes the result. It satisfies dist.Executor; cmd/columbia wires it
+// in.
 func ExecutePoint(ctx context.Context, kind, key string, raw []byte) ([]byte, error) {
 	var spec PointSpec
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&spec); err != nil {
@@ -304,7 +306,7 @@ func ExecutePoint(ctx context.Context, kind, key string, raw []byte) ([]byte, er
 	if derived != key {
 		return nil, fmt.Errorf("core: point key drift: supervisor routed %q, worker derives %q (builder version skew?)", key, derived)
 	}
-	v, err := run(ctx)
+	v, err := run(vmpi.WithArena(ctx, workerArena))
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"columbia/internal/hpcc"
@@ -148,4 +149,58 @@ func TestFaultUnknownKindDegrades(t *testing.T) {
 	if _, err := ExecutePoint(context.Background(), "no-such-kind", "k", raw); err == nil {
 		t.Error("ExecutePoint accepted unknown kind")
 	}
+}
+
+// TestExecutePointAlternatingRankCounts: the worker arena is rebuilt when
+// consecutive points switch rank count, and a switch must never leak state
+// into a result. Points at p=16, p=64, p=16 and p=64 each decode to the
+// value the in-process path computes. Two callers run the sequence at
+// once, so one of them may fall back from the busy arena to the pool.
+func TestExecutePointAlternatingRankCounts(t *testing.T) {
+	a := PointSpec{Kind: "npb-mpi", Cluster: singleNode(machine.Altix3700),
+		Procs: 16, Bench: "CG", Class: npb.ClassB}
+	b := PointSpec{Kind: "npb-mpi", Cluster: singleNode(machine.Altix3700),
+		Procs: 64, Bench: "FT", Class: npb.ClassB}
+	specs := []PointSpec{a, b, a, b}
+	keys := make([]string, len(specs))
+	raws := make([][]byte, len(specs))
+	wants := make([]float64, len(specs))
+	for i, spec := range specs {
+		key, run, err := buildPoint(Current(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := encodeSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i], raws[i], wants[i] = key, raw, want.(float64)
+	}
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, spec := range specs {
+				reply, err := ExecutePoint(context.Background(), spec.Kind, keys[i], raws[i])
+				if err != nil {
+					t.Errorf("point %d (p=%d): %v", i, spec.Procs, err)
+					return
+				}
+				got, err := decodeResult[float64](reply)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != wants[i] {
+					t.Errorf("point %d (p=%d): worker path = %v, in-process = %v", i, spec.Procs, got, wants[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -26,7 +26,9 @@ type Spawn func() (Proc, error)
 
 // Config parameterizes a Supervisor.
 type Config struct {
-	// Workers is the fleet size: one lane per worker process.
+	// Workers is the fleet size: one lane per worker process. Every lane
+	// takes points from one shared queue, so any idle worker serves the
+	// next point.
 	Workers int
 	// Spawn starts one worker.
 	Spawn Spawn
@@ -65,17 +67,18 @@ const (
 	maxRestartBackoff     = 2 * time.Second
 )
 
-// Supervisor owns a fleet of worker processes and routes sweep points to
-// them by scheduling class — the same rank-count class in-process slot
-// affinity uses — so each worker's engine arenas stay warm on one class.
-// Every worker failure is recoverable: the lane kills the process, restarts
-// it with doubling backoff, and re-dispatches the in-flight point, which is
-// safe because points are deterministic and memoized by fingerprint. A
-// point surviving PoisonK consecutive crashes is quarantined as a
-// *vmpi.RunError with kind ErrWorkerCrash.
+// Supervisor owns a fleet of worker processes fed from one shared dispatch
+// queue: whichever worker is idle takes the next point, whatever its class,
+// so no worker idles while another has a backlog. Every worker failure is
+// recoverable: the lane kills the process, restarts it with doubling
+// backoff, and re-dispatches the in-flight point, which is safe because
+// points are deterministic and memoized by fingerprint. A point surviving
+// PoisonK consecutive crashes is quarantined as a *vmpi.RunError with kind
+// ErrWorkerCrash.
 type Supervisor struct {
-	cfg    Config
-	lanes  []*lane
+	cfg Config
+	// jobs is the shared dispatch queue every lane receives from.
+	jobs   chan *job
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -111,16 +114,14 @@ func New(cfg Config) (*Supervisor, error) {
 	cfg.Hello.Version = ProtocolVersion
 	s := &Supervisor{
 		cfg:        cfg,
+		jobs:       make(chan *job),
 		after:      time.After,
 		graceAfter: time.After,
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	s.lanes = make([]*lane, cfg.Workers)
-	for i := range s.lanes {
-		l := &lane{s: s, idx: i, jobs: make(chan *job)}
-		s.lanes[i] = l
+	for range cfg.Workers {
 		s.wg.Add(1)
-		go l.run()
+		go (&lane{s: s}).run()
 	}
 	return s, nil
 }
@@ -143,16 +144,16 @@ func (s *Supervisor) Close() {
 }
 
 // Do dispatches one point to the fleet and blocks until it completes, the
-// point is quarantined, or ctx is canceled. class picks the lane (points of
-// one scheduling class share a worker, keeping its arenas warm); kind, key
+// point is quarantined, or ctx is canceled. The first idle lane takes it.
+// class is no longer used for routing: it stays in the signature because
+// core.Dispatcher, which every dispatcher implements, carries it. kind, key
 // and spec pass through to the worker's executor. The returned error is the
 // point's own structured failure (a *WireError preserving kind, text and
 // retryability), a quarantine *vmpi.RunError, or a context error.
 func (s *Supervisor) Do(ctx context.Context, class, kind, key string, spec []byte) ([]byte, error) {
-	l := s.lanes[int(fnvHash(class)%uint32(len(s.lanes)))]
 	j := &job{ctx: ctx, kind: kind, key: key, spec: spec, result: make(chan jobResult, 1)}
 	select {
-	case l.jobs <- j:
+	case s.jobs <- j:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-s.ctx.Done():
@@ -166,18 +167,7 @@ func (s *Supervisor) Do(ctx context.Context, class, kind, key string, spec []byt
 	}
 }
 
-// fnvHash is FNV-1a over s — the same hash slot affinity uses, so lane
-// routing and in-process slot routing agree on class partitioning.
-func fnvHash(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// job is one dispatched point waiting for its lane.
+// job is one dispatched point waiting for a lane.
 type job struct {
 	ctx    context.Context
 	kind   string
@@ -202,9 +192,7 @@ type procEvent struct {
 // lane is one worker slot: a goroutine owning at most one live process and
 // serving one point at a time.
 type lane struct {
-	s    *Supervisor
-	idx  int
-	jobs chan *job
+	s *Supervisor
 
 	// Goroutine-local process state.
 	proc   Proc
@@ -225,7 +213,7 @@ func (l *lane) run() {
 	defer l.retire()
 	for {
 		select {
-		case j := <-l.jobs:
+		case j := <-l.s.jobs:
 			data, err := l.serve(j)
 			j.result <- jobResult{data: data, err: err}
 		case <-l.s.ctx.Done():

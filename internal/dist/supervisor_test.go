@@ -423,3 +423,41 @@ func TestFaultSupervisorCancellationMidPoint(t *testing.T) {
 		t.Errorf("cancellation must not quarantine: %+v", st)
 	}
 }
+
+// TestSupervisorSharesOneQueue: two concurrent points of the same class run
+// on two workers at once. Each executor call waits at a rendezvous for the
+// other; a fleet that queued both behind one worker never meets it.
+func TestSupervisorSharesOneQueue(t *testing.T) {
+	var arrived atomic.Int64
+	both := make(chan struct{})
+	meet := func(Hello) (Executor, error) {
+		return func(_ context.Context, _, key string, _ []byte) ([]byte, error) {
+			if arrived.Add(1) == 2 {
+				close(both)
+			}
+			select {
+			case <-both:
+				return []byte(key), nil
+			case <-time.After(5 * time.Second):
+				return nil, errors.New("the other point never ran concurrently")
+			}
+		}, nil
+	}
+	s := newTestSupervisor(t, Config{Workers: 2, Spawn: pipeSpawn(meet, nil, nil)})
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		key := fmt.Sprintf("fam/point-%d", i)
+		go func() {
+			got, err := s.Do(context.Background(), "|p=256", "echo", key, nil)
+			if err == nil && string(got) != key {
+				err = fmt.Errorf("Do(%s) = %q", key, got)
+			}
+			errs <- err
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -351,9 +351,9 @@ func (p *Pool) Workers() int { return len(p.slots.free) }
 // ClassOf names key's scheduling class: the registered affinity
 // classifier's answer (core installs one keying on the configuration's rank
 // count), falling back to the workload-family prefix when no classifier is
-// installed or it abstains. In-process slot affinity and the out-of-process
-// supervisor (package dist) both route by this class, so worker processes
-// partition the sweep exactly as worker slots do.
+// installed or it abstains. Only in-process slot affinity routes by it; the
+// out-of-process supervisor (package dist) receives the class but feeds
+// every worker from one shared queue.
 func ClassOf(key string) string {
 	if f := affinityClass.Load(); f != nil && *f != nil {
 		if c := (*f)(key); c != "" {

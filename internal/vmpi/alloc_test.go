@@ -156,9 +156,8 @@ func TestSpawnCostPerRank(t *testing.T) {
 			}
 		})
 	}
-	// Warm the arena at the larger size first so neither measurement pays
-	// for growing rank records.
-	allocs(2 * p)
+	// AllocsPerRun's warm-up run reshapes the arena for each rank count, so
+	// neither measurement pays for building rank records.
 	base := allocs(p)
 	double := allocs(2 * p)
 	perRank := (double - base) / p

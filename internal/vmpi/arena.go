@@ -11,17 +11,17 @@ import (
 // and payload slabs — from the arena instead of the process-wide scratch
 // pool, and a clean completion hands the scratch back to the same arena.
 //
-// The point is working-set partitioning: a sweep worker that owns an arena
-// and keeps being handed leaves of the same workload family (the sweep's
-// slot affinity does exactly that) re-runs similar simulations on scratch
-// state shaped by that family alone. Its rank mail maps hold one family's
-// (source, tag) universe instead of every family's, which keeps lookups on
-// the engine's hottest path inside a small, cache-resident table — the
-// mechanism that lets eight sweep workers beat one even on a single CPU,
-// where raw parallelism buys nothing.
+// The point is working-set partitioning. An arena holds one rank count's
+// working set: a run at the rank count the arena's scratch was shaped for
+// reuses it, mailboxes and all, and a run at any other count drops it and
+// starts from the pool instead. A worker that keeps re-running one scale —
+// the sweep's rank-count slot affinity arranges exactly that — therefore
+// probes small, cache-resident mail maps holding that scale's (source, tag)
+// universe, and a worker that switches scales pays one rebuild instead of
+// carrying the union of every scale it has seen.
 //
-// An arena holds at most one scratch; it is meant to back one worker slot,
-// which runs one leaf at a time. Concurrent runs under the same arena are
+// An arena holds at most one scratch; it is meant to back one worker, which
+// runs one simulation at a time. Concurrent runs under the same arena are
 // safe but pointless: whoever acquires first gets the scratch, everyone
 // else falls through to the process-wide pool.
 type Arena struct {
@@ -70,7 +70,8 @@ type arenaCtxKey struct{}
 
 // WithArena returns a context under which RunCtx draws engine scratch
 // state from a rather than the process-wide pool. The sweep scheduler
-// installs one arena per worker slot (see sweep.RegisterWorkerContext);
+// installs one arena per worker slot (see sweep.RegisterWorkerContext) and
+// a worker process one for the points it serves (core.ExecutePoint);
 // direct engine callers normally have no reason to.
 func WithArena(ctx context.Context, a *Arena) context.Context {
 	if a == nil {

@@ -50,6 +50,81 @@ func TestArenaRecyclesScratchAcrossRuns(t *testing.T) {
 	}
 }
 
+// drainScratchPool empties the process-wide scratch pool, so the next
+// arena miss starts from a new scratch. A pooled scratch has served a run,
+// so it always has rank records; a new one has none.
+func drainScratchPool() {
+	for len(scratchPool.Get().ranks) > 0 {
+	}
+}
+
+// ringShift sends one message around the ring. Rank 0's only mailbox is
+// (P-1, tag 1), so runs at different rank counts build disjoint boxes.
+func ringShift(c par.Comm) {
+	n, r := c.Size(), c.Rank()
+	c.SendBytes((r+1)%n, 1, 64)
+	c.RecvBytes((r-1+n)%n, 1)
+}
+
+// mailboxes counts the mailboxes in a scratch's first n rank records.
+func mailboxes(s *engineScratch, n int) int {
+	boxes := 0
+	for _, r := range s.ranks[:n] {
+		boxes += len(r.mail)
+	}
+	return boxes
+}
+
+// TestArenaHoldsOneRankCount: an arena whose runs switch rank count drops
+// the old scratch instead of growing the union of both counts' mailboxes,
+// and reuses the new one while the count holds. The process-wide pool keeps
+// reusing across rank counts.
+func TestArenaHoldsOneRankCount(t *testing.T) {
+	cl := machine.NewSingleNode(machine.AltixBX2b)
+	run := func(ctx context.Context, procs int) {
+		t.Helper()
+		if _, err := RunCtx(ctx, Config{Cluster: cl, Procs: procs}, ringShift); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drainScratchPool()
+	fresh := NewArena()
+	run(WithArena(context.Background(), fresh), 16)
+	want := mailboxes(fresh.scr, 8)
+
+	drainScratchPool()
+	a := NewArena()
+	ctx := WithArena(context.Background(), a)
+	run(ctx, 8)
+	p8 := a.scr
+	run(ctx, 16)
+	p16 := a.scr
+	if p16 == nil || p16 == p8 {
+		t.Fatal("a P=16 run reused the arena's P=8 scratch")
+	}
+	if got := mailboxes(p16, 8); got != want {
+		t.Errorf("first 8 rank records hold %d mailboxes after P=8 then P=16, want %d (a fresh P=16 run's)", got, want)
+	}
+	boxes := mailboxes(p16, 16)
+	run(ctx, 16)
+	if a.scr != p16 {
+		t.Error("a second P=16 run did not reuse the arena's scratch")
+	}
+	if got := mailboxes(p16, 16); got != boxes {
+		t.Errorf("a second P=16 run grew mailboxes %d -> %d, want none", boxes, got)
+	}
+
+	// Without an arena the pooled scratch serves every rank count.
+	drainScratchPool()
+	run(context.Background(), 16)
+	pooled := scratchPool.Get()
+	scratchPool.Put(pooled)
+	run(context.Background(), 8)
+	if got := scratchPool.Get(); got != pooled {
+		t.Error("a P=8 run after a P=16 run did not reuse the pooled scratch")
+	}
+}
+
 func TestArenaErroredRunDropsScratch(t *testing.T) {
 	a := NewArena()
 	ctx := WithArena(context.Background(), a)

@@ -19,6 +19,9 @@ type engineScratch struct {
 	// ranks grows monotonically; a run slices off the prefix it needs, so
 	// the mail maps and mailbox queues of past runs stay warm. Rank ids equal indices and never change.
 	ranks []*rankState
+	// procs is the rank count the scratch was last shaped for. An arena
+	// keeps a scratch only while its runs stay at this count.
+	procs int
 	// msgs pools message structs across runs as well as within one.
 	msgs calendar.FreeList[message]
 	// heap is the event calendar; Reset keeps its storage.
@@ -99,14 +102,18 @@ var scratchPool calendar.SharedPool[engineScratch]
 // acquireScratch draws a scratch — from the run's arena when it has one,
 // else the process-wide pool — and readies it for a run of procs ranks on
 // a cluster of nodes boxes. Missing rank records are created; existing ones
-// are reset but keep their mailbox storage.
+// are reset but keep their mailbox storage. An arena scratch shaped for
+// another rank count is dropped for the GC rather than reused, so an arena
+// never grows the union of every rank count's mailboxes; the pool keeps
+// reusing across rank counts, where one large run warms the next.
 //
 //perflint:pooled the scratch pool owns the per-rank records; growing them here is how reuse amortizes them
 func acquireScratch(a *Arena, procs, nodes int) *engineScratch {
 	s := a.take()
-	if s == nil {
+	if s == nil || s.procs != procs {
 		s = scratchPool.Get()
 	}
+	s.procs = procs
 	for len(s.ranks) < procs {
 		s.ranks = append(s.ranks, &rankState{
 			id:   len(s.ranks),
@@ -152,7 +159,7 @@ func (e *engine) recycle() {
 		r.api = comm{}
 	}
 	// Scratches go home: an arena-backed run refills its own arena so the
-	// worker's next leaf reuses the same family-shaped state, and only
+	// worker's next run at the same rank count reuses its state, and only
 	// arena-less (or surplus concurrent) runs feed the process-wide pool.
 	if !e.arena.put(s) {
 		scratchPool.Put(s)
