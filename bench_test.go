@@ -267,6 +267,29 @@ func BenchmarkEngine2048Ranks(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineGather8192 is the pending-list mailbox index's worst
+// case: every rank sends to rank 0, which computes first so all 8191 boxes
+// are pending, then receives them in source order. Each directed receive
+// scans the pending list for its key, so the run is O(P²) compares; no
+// paper experiment has this shape, and the benchmark keeps the trade-off
+// visible in the baseline.
+func BenchmarkEngineGather8192(b *testing.B) {
+	const procs = 8192
+	cfg := vmpi.Config{Cluster: machine.NewColumbia(), Procs: procs, Nodes: 16}
+	for i := 0; i < b.N; i++ {
+		vmpi.Run(cfg, func(c par.Comm) {
+			if c.Rank() != 0 {
+				c.SendBytes(0, 1, 8)
+				return
+			}
+			c.(vmpi.Clock).Elapse(1)
+			for s := 1; s < procs; s++ {
+				c.RecvBytes(s, 1)
+			}
+		})
+	}
+}
+
 // --- Ablation benchmarks (DESIGN.md §4) ---
 
 // BenchmarkAblationGrouping compares connectivity-aware bin-packing against

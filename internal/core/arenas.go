@@ -14,8 +14,8 @@ import (
 // their rank records, mailboxes and slabs from the slot's private arena.
 // An arena holds one rank count's working set, and the pool's rank-count
 // affine slot scheduling keeps handing each slot leaves of one count, so
-// its mail maps stay small and hot instead of growing into a union of every
-// scale's — which is what makes `columbia all -j N` scale (and on a single
+// its scratch stays shaped for that scale instead of being rebuilt on every
+// leaf — which is what makes `columbia all -j N` scale (and on a single
 // CPU still edge out -j 1; see DESIGN.md).
 
 // workerArena backs the points a worker process serves (ExecutePoint). A

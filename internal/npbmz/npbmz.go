@@ -112,18 +112,23 @@ func Decompose(p Params, uneven bool) []Zone {
 }
 
 // Balance assigns zones to procs with the NPB-MZ load balancer: zones in
-// decreasing size order onto the least-loaded process. It returns the
-// assignment (zone -> proc) and per-proc point loads.
+// decreasing size order onto the least-loaded process, ties to the lowest
+// process index. It returns the assignment (zone -> proc) and per-proc
+// point loads. The least-loaded process comes off a min-heap ordered by
+// (load, index), so a class-E balance costs O(Z log P) instead of a scan
+// of every process per zone.
 func Balance(zones []Zone, procs int) (assign []int, loads []float64) {
 	if procs < 1 {
 		panic("npbmz: need at least one process")
 	}
+	points := make([]float64, len(zones))
 	order := make([]int, len(zones))
-	for i := range order {
+	for i, z := range zones {
+		points[i] = z.Points()
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool {
-		pa, pb := zones[order[a]].Points(), zones[order[b]].Points()
+		pa, pb := points[order[a]], points[order[b]]
 		if pa != pb {
 			return pa > pb
 		}
@@ -131,15 +136,34 @@ func Balance(zones []Zone, procs int) (assign []int, loads []float64) {
 	})
 	assign = make([]int, len(zones))
 	loads = make([]float64, procs)
+	// heap holds every proc index; heap[0] is the least loaded, ties to
+	// the lowest index — exactly the proc a strict-< linear scan picks.
+	heap := make([]int, procs)
+	for k := range heap {
+		heap[k] = k // all loads are zero, so index order is a valid heap
+	}
+	less := func(a, b int) bool {
+		return loads[a] < loads[b] || (loads[a] == loads[b] && a < b)
+	}
 	for _, z := range order {
-		best := 0
-		for k := 1; k < procs; k++ {
-			if loads[k] < loads[best] {
-				best = k
-			}
-		}
+		best := heap[0]
 		assign[z] = best
-		loads[best] += zones[z].Points()
+		loads[best] += points[z]
+		// The root's load only grew: sift it down.
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= procs {
+				break
+			}
+			if c+1 < procs && less(heap[c+1], heap[c]) {
+				c++
+			}
+			if !less(heap[c], heap[i]) {
+				break
+			}
+			heap[i], heap[c] = heap[c], heap[i]
+			i = c
+		}
 	}
 	return assign, loads
 }

@@ -1,7 +1,11 @@
 package npbmz
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -87,6 +91,76 @@ func TestBalanceProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// balanceScan is the linear-scan balancer Balance replaced, kept as its
+// oracle: zones in decreasing size order (ties to the lower zone index),
+// each onto the first least-loaded process of a strict-< scan.
+func balanceScan(zones []Zone, procs int) (assign []int, loads []float64) {
+	order := make([]int, len(zones))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		pa, pb := zones[order[a]].Points(), zones[order[b]].Points()
+		if pa != pb {
+			return pa > pb
+		}
+		return order[a] < order[b]
+	})
+	assign = make([]int, len(zones))
+	loads = make([]float64, procs)
+	for _, z := range order {
+		best := 0
+		for k := 1; k < procs; k++ {
+			if loads[k] < loads[best] {
+				best = k
+			}
+		}
+		assign[z] = best
+		loads[best] += zones[z].Points()
+	}
+	return assign, loads
+}
+
+// TestBalanceMatchesLinearScan: the heap balancer makes exactly the linear
+// scan's choices — same assignment, bit-identical loads — on seeded random
+// zone sets whose tiny extents force equal-size zones and tied loads, on
+// the real class decompositions, and at procs 1, = zones and > zones.
+func TestBalanceMatchesLinearScan(t *testing.T) {
+	check := func(name string, zones []Zone, procs int) {
+		t.Helper()
+		assign, loads := Balance(zones, procs)
+		wantAssign, wantLoads := balanceScan(zones, procs)
+		if !reflect.DeepEqual(assign, wantAssign) {
+			t.Fatalf("%s, %d procs: assign %v, linear scan %v", name, procs, assign, wantAssign)
+		}
+		for k := range loads {
+			if math.Float64bits(loads[k]) != math.Float64bits(wantLoads[k]) {
+				t.Fatalf("%s, %d procs: load[%d] = %v, linear scan %v", name, procs, k, loads[k], wantLoads[k])
+			}
+		}
+	}
+	rnd := rand.New(rand.NewSource(15))
+	for set := 0; set < 200; set++ {
+		zones := make([]Zone, 1+rnd.Intn(64))
+		for i := range zones {
+			zones[i] = Zone{ID: i, Nx: 1 + rnd.Intn(3), Ny: 1 + rnd.Intn(3), Nz: 1 + rnd.Intn(2)}
+		}
+		name := fmt.Sprintf("random set %d", set)
+		for _, procs := range []int{1, len(zones), len(zones) + 1 + rnd.Intn(8), 1 + rnd.Intn(len(zones))} {
+			check(name, zones, procs)
+		}
+	}
+	for _, class := range []npb.Class{npb.ClassS, npb.ClassB, npb.ClassC} {
+		for _, uneven := range []bool{false, true} {
+			zones := Decompose(Classes[class], uneven)
+			name := fmt.Sprintf("class %c uneven=%v", class, uneven)
+			for _, procs := range []int{1, 3, 16, 17, len(zones), 2 * len(zones)} {
+				check(name, zones, procs)
+			}
+		}
 	}
 }
 

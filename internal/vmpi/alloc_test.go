@@ -10,14 +10,15 @@ import (
 )
 
 // The calendar engine's hot paths are pooled: message structs come from an
-// engine-local free list (released back on receive), mailbox queues reuse
-// their ring storage, and heap events live in a reused slice. These tests
+// engine-local free list (released back on receive), drained mailboxes go
+// to a free list with their ring storage, and heap events live in a reused
+// slice. These tests
 // pin the steady-state allocation budgets so a regression (a forgotten
 // release, a per-event allocation sneaking into yield) fails loudly.
 //
 // All measurements use the delta technique: run the same program with K
 // and 2K operations and attribute the difference to the extra K. Fixed
-// per-run costs — rank coroutines, the mailbox map, result assembly —
+// per-run costs — rank coroutines, the pending lists, result assembly —
 // appear in both runs and cancel, leaving the marginal per-operation rate.
 //
 // Budgets (measured on the seed implementation):

@@ -13,12 +13,12 @@ import (
 //
 // The point is working-set partitioning. An arena holds one rank count's
 // working set: a run at the rank count the arena's scratch was shaped for
-// reuses it, mailboxes and all, and a run at any other count drops it and
-// starts from the pool instead. A worker that keeps re-running one scale —
-// the sweep's rank-count slot affinity arranges exactly that — therefore
-// probes small, cache-resident mail maps holding that scale's (source, tag)
-// universe, and a worker that switches scales pays one rebuild instead of
-// carrying the union of every scale it has seen.
+// reuses it, rank records, free mailboxes and all, and a run at any other
+// count drops it and starts from the pool instead. A worker that keeps
+// re-running one scale — the sweep's rank-count slot affinity arranges
+// exactly that — therefore runs on rank records and mailbox storage shaped
+// for that scale, and a worker that switches scales pays one rebuild
+// instead of carrying the union of every scale it has seen.
 //
 // An arena holds at most one scratch; it is meant to back one worker, which
 // runs one simulation at a time. Concurrent runs under the same arena are

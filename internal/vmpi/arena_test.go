@@ -34,19 +34,15 @@ func TestArenaRecyclesScratchAcrossRuns(t *testing.T) {
 	if a.scr != first {
 		t.Error("second run did not reuse the arena's scratch")
 	}
-	// The mailboxes built by the first run must have survived for the
-	// second: same ranks, same (source, tag) universe, zero new boxes.
-	boxes := 0
-	for _, r := range first.ranks[:8] {
-		boxes += len(r.mail)
+	// Every mailbox ends a clean run on the scratch's free list, and a warm
+	// rerun draws all its boxes from there: it carves no new ones.
+	boxes := len(first.boxes)
+	if boxes == 0 {
+		t.Fatal("recycled scratch holds no free mailboxes")
 	}
 	run()
-	after := 0
-	for _, r := range first.ranks[:8] {
-		after += len(r.mail)
-	}
-	if after != boxes {
-		t.Errorf("warm rerun grew mailboxes %d -> %d, want none", boxes, after)
+	if after := len(first.boxes); after != boxes {
+		t.Errorf("warm rerun grew the mailbox free list %d -> %d, want none", boxes, after)
 	}
 }
 
@@ -58,27 +54,17 @@ func drainScratchPool() {
 	}
 }
 
-// ringShift sends one message around the ring. Rank 0's only mailbox is
-// (P-1, tag 1), so runs at different rank counts build disjoint boxes.
+// ringShift sends one message around the ring.
 func ringShift(c par.Comm) {
 	n, r := c.Size(), c.Rank()
 	c.SendBytes((r+1)%n, 1, 64)
 	c.RecvBytes((r-1+n)%n, 1)
 }
 
-// mailboxes counts the mailboxes in a scratch's first n rank records.
-func mailboxes(s *engineScratch, n int) int {
-	boxes := 0
-	for _, r := range s.ranks[:n] {
-		boxes += len(r.mail)
-	}
-	return boxes
-}
-
 // TestArenaHoldsOneRankCount: an arena whose runs switch rank count drops
-// the old scratch instead of growing the union of both counts' mailboxes,
-// and reuses the new one while the count holds. The process-wide pool keeps
-// reusing across rank counts.
+// the old scratch instead of carrying both counts' state, and reuses the
+// new one while the count holds. The process-wide pool keeps reusing across
+// rank counts.
 func TestArenaHoldsOneRankCount(t *testing.T) {
 	cl := machine.NewSingleNode(machine.AltixBX2b)
 	run := func(ctx context.Context, procs int) {
@@ -90,7 +76,7 @@ func TestArenaHoldsOneRankCount(t *testing.T) {
 	drainScratchPool()
 	fresh := NewArena()
 	run(WithArena(context.Background(), fresh), 16)
-	want := mailboxes(fresh.scr, 8)
+	want := len(fresh.scr.boxes)
 
 	drainScratchPool()
 	a := NewArena()
@@ -102,16 +88,18 @@ func TestArenaHoldsOneRankCount(t *testing.T) {
 	if p16 == nil || p16 == p8 {
 		t.Fatal("a P=16 run reused the arena's P=8 scratch")
 	}
-	if got := mailboxes(p16, 8); got != want {
-		t.Errorf("first 8 rank records hold %d mailboxes after P=8 then P=16, want %d (a fresh P=16 run's)", got, want)
+	if len(p16.ranks) != 16 {
+		t.Errorf("P=16 scratch has %d rank records, want 16", len(p16.ranks))
 	}
-	boxes := mailboxes(p16, 16)
+	if got := len(p16.boxes); got != want {
+		t.Errorf("P=16 scratch holds %d free mailboxes after P=8 then P=16, want %d (a fresh P=16 run's)", got, want)
+	}
 	run(ctx, 16)
 	if a.scr != p16 {
 		t.Error("a second P=16 run did not reuse the arena's scratch")
 	}
-	if got := mailboxes(p16, 16); got != boxes {
-		t.Errorf("a second P=16 run grew mailboxes %d -> %d, want none", boxes, got)
+	if got := len(p16.boxes); got != want {
+		t.Errorf("a second P=16 run grew the mailbox free list %d -> %d, want none", want, got)
 	}
 
 	// Without an arena the pooled scratch serves every rank count.
@@ -185,8 +173,8 @@ func TestArenaReuseLeavesNoStalePending(t *testing.T) {
 		t.Fatal("clean run did not refill the arena")
 	}
 	for _, r := range a.scr.ranks[:cfg.Procs] {
-		if len(r.pending) != 0 {
-			t.Fatalf("rank %d: %d pending boxes survived recycle", r.id, len(r.pending))
+		if len(r.pending) != 0 || len(r.pkeys) != 0 {
+			t.Fatalf("rank %d: %d pending boxes (%d keys) survived recycle", r.id, len(r.pending), len(r.pkeys))
 		}
 		if r.api.e != nil {
 			t.Fatalf("rank %d: pooled record still points at the finished engine", r.id)

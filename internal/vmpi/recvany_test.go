@@ -8,6 +8,7 @@ package vmpi_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -189,5 +190,71 @@ func TestRecvAnyExactTiesMixedTags(t *testing.T) {
 	}
 	if !strings.HasPrefix(cal, "tag8=[2 3 4] tag7=[2 3 4] ") {
 		t.Errorf("tied wildcard matches = %s, want the lowest source first for both tags", cal)
+	}
+}
+
+// TestSanitizedRecvAnyRaceNamesLowestSources pins the sanitizer's race
+// report for a racing fan-in. The senders issue in reverse rank order, so
+// rank 0's pending list holds their boxes highest source first; the
+// candidates must still reach commsan in source order, which makes the
+// reported pair the two lowest sources.
+func TestSanitizedRecvAnyRaceNamesLowestSources(t *testing.T) {
+	const procs = 5
+	cfg := singleNode(procs)
+	cfg.Sanitize = true
+	_, err := vmpi.TryRun(cfg, func(c par.Comm) {
+		if c.Rank() == 0 {
+			c.(vmpi.Clock).Elapse(1e-3) // every send is queued before the match
+			c.(anyReceiver).RecvAny(7)
+			return
+		}
+		c.(vmpi.Clock).Elapse(float64(procs-c.Rank()) * 1e-6)
+		c.SendBytes(0, 7, 64)
+	})
+	var re *vmpi.RunError
+	if !errors.As(err, &re) || re.Kind != vmpi.ErrSanitizer {
+		t.Fatalf("want a sanitizer failure, got %v", err)
+	}
+	const want = "RecvAny(tag=7) on rank 0 has concurrent candidate sends from rank 1 (t=4e-06) and rank 2 (t=3e-06); the match order is interleaving-dependent"
+	if got := re.Report.Violations[0].Msg; got != want {
+		t.Errorf("violation:\n got  %s\n want %s", got, want)
+	}
+}
+
+// TestSanitizedRecvAnyFanIn2048 runs a sanitized 2048-rank wildcard fan-in
+// to completion. Every sender first queues one directed message at rank 0,
+// so rank 0's pending list holds ~2047 boxes throughout; the tag-7 sends
+// are spaced far enough apart that each wildcard match sees one candidate,
+// so the run is race-free. Gathering candidates per possible source would
+// scan that pending list once per source per match — ~10^10 steps — where
+// gathering them from the pending list costs O(pending) per match.
+func TestSanitizedRecvAnyFanIn2048(t *testing.T) {
+	const procs = 2048
+	cfg := vmpi.Config{Cluster: machine.NewBX2bQuad(), Procs: procs, Nodes: 4, Sanitize: true}
+	var order []int
+	_, err := vmpi.TryRun(cfg, func(c par.Comm) {
+		r := c.Rank()
+		if r == 0 {
+			ar := c.(anyReceiver)
+			for s := 1; s < procs; s++ {
+				src, _ := ar.RecvAny(7)
+				order = append(order, src)
+			}
+			for s := 1; s < procs; s++ {
+				c.RecvBytes(s, 1)
+			}
+			return
+		}
+		c.SendBytes(0, 1, 8)
+		c.(vmpi.Clock).Elapse(float64(r) * 1e-3)
+		c.SendBytes(0, 7, 8)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, src := range order {
+		if src != i+1 {
+			t.Fatalf("match %d came from rank %d, want %d (send order)", i, src, i+1)
+		}
 	}
 }

@@ -3,11 +3,12 @@ package vmpi
 import "columbia/internal/vmpi/calendar"
 
 // engineScratch is the allocation-heavy state of one engine run — rank
-// records (with their mailbox maps, pending lists and mailbox storage), the pooled message free list, the event calendar and the
-// per-node occupancy clocks. A fresh engine used to rebuild all of it per
-// run, which put ~2M short-lived objects per sweep point on the GC; now a
-// completed run resets and recycles its scratch instead, so a steady-state
-// sweep worker re-runs configurations almost entirely inside warm storage.
+// records (with their pending lists), mailbox storage, the pooled message
+// free list, the event calendar and the per-node occupancy clocks. A fresh
+// engine used to rebuild all of it per run, which put ~2M short-lived
+// objects per sweep point on the GC; now a completed run resets and
+// recycles its scratch instead, so a steady-state sweep worker re-runs
+// configurations almost entirely inside warm storage.
 //
 // Scratches travel through a calendar.SharedPool: a run owns its scratch
 // exclusively from newEngine until recycle, so concurrent sweep workers
@@ -17,29 +18,34 @@ import "columbia/internal/vmpi/calendar"
 // drop theirs, because their mailboxes are not provably quiescent.
 type engineScratch struct {
 	// ranks grows monotonically; a run slices off the prefix it needs, so
-	// the mail maps and mailbox queues of past runs stay warm. Rank ids equal indices and never change.
+	// the pending lists of past runs stay warm. Rank ids equal indices and
+	// never change.
 	ranks []*rankState
 	// procs is the rank count the scratch was last shaped for. An arena
 	// keeps a scratch only while its runs stay at this count.
 	procs int
 	// msgs pools message structs across runs as well as within one.
 	msgs calendar.FreeList[message]
+	// boxes pools drained mailboxes, backing storage included, across all
+	// ranks and runs: a box lives in one pending list while it holds mail
+	// and here otherwise, so a run's box count is its peak in-flight
+	// traffic, not every (source, tag) pair it ever used.
+	boxes []*msgq
 	// heap is the event calendar; Reset keeps its storage.
 	heap calendar.Heap
 	// linkBusy and fabricBusy are the per-node FCFS occupancy clocks,
 	// re-zeroed (and regrown if the cluster is bigger) per run.
 	linkBusy   []float64
 	fabricBusy []float64
-	// Mailbox and payload arenas. A big run creates hundreds of thousands
-	// of (source, tag) mailboxes and payload copies, and each private
-	// worker scratch pays that bill again — carving them from chunked
-	// slabs turns three allocations per mailbox (struct, first-push
-	// backing, payload copy) into a handful per chunk. qslab and pslab are
-	// the uncarved tails of the current mailbox-struct and seed-backing
-	// chunks; fslab is the uncarved tail of the payload chunk. Carved
-	// regions are owned by their mailbox or receiving program and are
-	// never reclaimed by the arena, so only the tails are reused across
-	// runs.
+	// Mailbox and payload arenas. A big run sends hundreds of thousands of
+	// payload copies, and a cold scratch opens thousands of mailboxes —
+	// carving them from chunked slabs turns three allocations per mailbox
+	// (struct, first-push backing, payload copy) into a handful per chunk.
+	// qslab and pslab are the uncarved tails of the current mailbox-struct
+	// and seed-backing chunks; fslab is the uncarved tail of the payload
+	// chunk. A carved mailbox comes back through boxes; a carved payload
+	// belongs to its receiving program and is never reclaimed, so only the
+	// tails are reused across runs.
 	qslab []msgq
 	pslab []*message
 	fslab []float64
@@ -57,9 +63,16 @@ const (
 	fslabChunk = 4096
 )
 
-// newMsgq carves a fresh mailbox from the scratch's arena and seeds it
-// with a msgqSeed-capacity backing window so its first pushes are free.
+// newMsgq returns an empty mailbox: a drained one from the free list, or
+// else one carved fresh from the scratch's arena and seeded with a
+// msgqSeed-capacity backing window so its first pushes are free.
 func (s *engineScratch) newMsgq() *msgq {
+	if n := len(s.boxes) - 1; n >= 0 {
+		q := s.boxes[n]
+		s.boxes[n] = nil
+		s.boxes = s.boxes[:n]
+		return q
+	}
 	if len(s.qslab) == 0 {
 		s.qslab = make([]msgq, qslabChunk)
 	}
@@ -71,6 +84,13 @@ func (s *engineScratch) newMsgq() *msgq {
 	q.Reserve(s.pslab[:0:msgqSeed])
 	s.pslab = s.pslab[msgqSeed:]
 	return q
+}
+
+// freeMsgq returns a drained mailbox to the free list.
+//
+//perflint:pooled the scratch owns drained mailboxes; the free list grows only to a run's peak in-flight box count and is reused from then on
+func (s *engineScratch) freeMsgq(q *msgq) {
+	s.boxes = append(s.boxes, q)
 }
 
 // copyPayload copies a send's payload into a region carved from the float
@@ -102,10 +122,10 @@ var scratchPool calendar.SharedPool[engineScratch]
 // acquireScratch draws a scratch — from the run's arena when it has one,
 // else the process-wide pool — and readies it for a run of procs ranks on
 // a cluster of nodes boxes. Missing rank records are created; existing ones
-// are reset but keep their mailbox storage. An arena scratch shaped for
-// another rank count is dropped for the GC rather than reused, so an arena
-// never grows the union of every rank count's mailboxes; the pool keeps
-// reusing across rank counts, where one large run warms the next.
+// are reset but keep their pending-list storage. An arena scratch shaped
+// for another rank count is dropped for the GC rather than reused, so an
+// arena holds one rank count's rank records and free mailboxes; the pool
+// keeps reusing across rank counts, where one large run warms the next.
 //
 //perflint:pooled the scratch pool owns the per-rank records; growing them here is how reuse amortizes them
 func acquireScratch(a *Arena, procs, nodes int) *engineScratch {
@@ -115,10 +135,7 @@ func acquireScratch(a *Arena, procs, nodes int) *engineScratch {
 	}
 	s.procs = procs
 	for len(s.ranks) < procs {
-		s.ranks = append(s.ranks, &rankState{
-			id:   len(s.ranks),
-			mail: make(map[uint64]*msgq),
-		})
+		s.ranks = append(s.ranks, &rankState{id: len(s.ranks)})
 	}
 	for _, r := range s.ranks[:procs] {
 		r.reset()
@@ -133,9 +150,9 @@ func acquireScratch(a *Arena, procs, nodes int) *engineScratch {
 // it to the pool. Only called after a clean completion, when every rank
 // coroutine has finished: unmatched messages may legally remain queued (the
 // sanitizer is what forbids them, and it fails the run instead), so each
-// rank's pending mailboxes are emptied — never by ranging the mail map —
-// and the structs go back to the free list with payloads dropped, so no
-// stale data or pending entry can leak into a later run.
+// rank's pending mailboxes are emptied onto the mailbox free list and their
+// messages onto the message free list with payloads dropped, so no stale
+// data or pending entry can leak into a later run.
 func (e *engine) recycle() {
 	s := e.scr
 	if s == nil {
@@ -149,9 +166,11 @@ func (e *engine) recycle() {
 				m.data = nil
 				s.msgs.Put(m)
 			}
+			s.freeMsgq(q)
 			r.pending[i] = nil
 		}
 		r.pending = r.pending[:0]
+		r.pkeys = r.pkeys[:0]
 		r.recvResult = nil
 		r.next, r.stop, r.park = nil, nil, nil
 		// The comm points at this engine; a pooled record must not pin it
@@ -166,9 +185,8 @@ func (e *engine) recycle() {
 	}
 }
 
-// reset readies a pooled rank record for its next run. mail and pending are
-// deliberately kept: recycle drained both, and reusing the mailboxes is
-// most of the win. id is immutable across runs.
+// reset readies a pooled rank record for its next run. pending and pkeys
+// keep their storage: recycle emptied both. id is immutable across runs.
 func (r *rankState) reset() {
 	r.now = 0
 	r.compute = 0

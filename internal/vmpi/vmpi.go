@@ -33,11 +33,11 @@
 // Every run uses the event-calendar engine: an O(log P) min-heap of
 // (time, rank) wake events with lazy invalidation, one iter.Pull coroutine
 // per rank resumed by a run loop (a yielding rank that is still the
-// earliest event just keeps running, with no switch at all), mailboxes
-// keyed by one packed (source, tag) word, a per-rank pending list of
-// non-empty mailboxes so a wildcard match costs O(pending) rather than
-// O(P), and free-listed message/mailbox storage so the hot send/recv path
-// does not allocate.
+// earliest event just keeps running, with no switch at all), a per-rank
+// pending list that holds only the mailboxes with queued mail — found by
+// one packed (source, tag) word, so both a directed and a wildcard match
+// cost O(pending) rather than O(P) — and free-listed message/mailbox
+// storage so the hot send/recv path does not allocate.
 //
 // The original central-loop scheduler, which scans every rank for the
 // smallest clock and matches wildcards by a source-order scan of every
@@ -49,10 +49,12 @@
 package vmpi
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"runtime/debug"
+	"slices"
 
 	"columbia/internal/fault"
 	"columbia/internal/machine"
@@ -176,10 +178,10 @@ const (
 	stDone
 )
 
-// mailKey packs a (source, tag) mailbox address into one word, so the mail
-// map hashes a uint64 on the runtime's fast path instead of a struct. Both
-// halves are 32 bits: send and recv reject tags outside the int32 range
-// (checkTag), which would otherwise share a mailbox with another tag.
+// mailKey packs a (source, tag) mailbox address into one word, so finding
+// a box is one integer compare per pending entry. Both halves are 32 bits:
+// send and recv reject tags outside the int32 range (checkTag), which would
+// otherwise share a mailbox with another tag.
 func mailKey(src, tag int) uint64 {
 	return uint64(uint32(src))<<32 | uint64(uint32(tag))
 }
@@ -193,17 +195,12 @@ type message struct {
 	sid int
 }
 
-// msgq is one mailbox: a FIFO of messages for a (source, tag) pair. Empty
-// mailboxes stay in the mail map so their storage is reused — the par
-// collectives draw tags from bounded per-collective blocks, so the key
-// space of a run is bounded and the steady state allocates nothing. The
-// box's address is not stored: a non-empty box reads it off its head
-// message.
-type msgq struct {
-	calendar.Queue[*message]
-	// pos is the box's index in its rank's pending list while non-empty.
-	pos int32
-}
+// msgq is one mailbox: a FIFO of messages for a (source, tag) pair. A box
+// exists only while it holds mail: a drained box leaves its rank's pending
+// list for the scratch's free list, backing storage and all, and the next
+// box any rank opens reuses it, so the steady state allocates nothing and
+// a rank never carries boxes for traffic it is not holding.
+type msgq = calendar.Queue[*message]
 
 type rankState struct {
 	id      int
@@ -211,11 +208,12 @@ type rankState struct {
 	compute float64
 	comm    float64
 	status  status
-	mail    map[uint64]*msgq
-	// pending lists the non-empty mailboxes, in no particular order: a box
-	// joins when a push fills it and is swap-deleted when a pop drains it,
-	// so the calendar engine's wildcard match scans only queued traffic.
+	// pending lists the rank's mailboxes, all non-empty, in no particular
+	// order, and pkeys their mailKeys at the same indices: a box joins when
+	// a send opens it and is swap-deleted when a receive drains it, so
+	// every match scans only queued traffic.
 	pending []*msgq
+	pkeys   []uint64
 	// next resumes the rank's coroutine until it parks or finishes; stop
 	// unwinds it (see spawn). park, valid inside the coroutine, suspends it
 	// and reports false once stop was called.
@@ -612,31 +610,32 @@ func (e *engine) pickReady() *rankState {
 // earliestAny returns the earliest arrival among queued messages that could
 // satisfy r's pending wildcard receive.
 func (e *engine) earliestAny(r *rankState) (float64, bool) {
-	q := e.anyBox(r, r.wantTag)
-	if q == nil {
+	i := e.anyBox(r, r.wantTag)
+	if i < 0 {
 		return 0, false
 	}
-	return q.Peek().arrival, true
+	return r.pending[i].Peek().arrival, true
 }
 
-// anyBox returns the mailbox a wildcard receive on tag matches next: the
-// earliest head arrival, ties to the lowest source; nil when nothing is
-// queued. The calendar engine scans only r's pending (non-empty) boxes, in
-// whatever order swap-deletes left them, so the tie-break is explicit.
-func (e *engine) anyBox(r *rankState, tag int) *msgq {
+// anyBox returns the index in r.pending of the mailbox a wildcard receive
+// on tag matches next: the earliest head arrival, ties to the lowest
+// source; -1 when nothing is queued. The calendar engine ranks the pending
+// boxes' heads in whatever order swap-deletes left them, so the tie-break
+// is explicit.
+func (e *engine) anyBox(r *rankState, tag int) int {
 	if !e.cal {
 		return e.scanAny(r, tag)
 	}
-	var best *msgq
+	best := -1
 	var head *message
-	for _, q := range r.pending {
+	for i, q := range r.pending {
 		m := q.Peek()
 		if m.tag != tag {
 			continue
 		}
 		//detlint:allow floatcmp equal arrivals are a true tie, broken by the lowest source exactly as the reference scan's strict < does
-		if best == nil || m.arrival < head.arrival || (m.arrival == head.arrival && m.src < head.src) {
-			best, head = q, m
+		if best < 0 || m.arrival < head.arrival || (m.arrival == head.arrival && m.src < head.src) {
+			best, head = i, m
 		}
 	}
 	return best
@@ -644,27 +643,34 @@ func (e *engine) anyBox(r *rankState, tag int) *msgq {
 
 // scanAny is the reference engine's wildcard match: a source-order scan of
 // every possible mailbox, where the strict < keeps the lowest source on
-// tied arrivals. It deliberately ignores the pending list, so the
-// differential tests check the calendar engine's match against an
-// independent derivation.
-func (e *engine) scanAny(r *rankState, tag int) *msgq {
-	var best *msgq
+// tied arrivals. It looks each source up by key instead of ranking the
+// pending list's heads, so the differential tests check the calendar
+// engine's explicit tie-break against an independent derivation.
+func (e *engine) scanAny(r *rankState, tag int) int {
+	best := -1
 	for s := range e.ranks {
-		if q := r.mail[mailKey(s, tag)]; q != nil && q.Len() > 0 && (best == nil || q.Peek().arrival < best.Peek().arrival) {
-			best = q
+		if i := r.box(mailKey(s, tag)); i >= 0 && (best < 0 || r.pending[i].Peek().arrival < r.pending[best].Peek().arrival) {
+			best = i
 		}
 	}
 	return best
 }
 
 // anyCandidates returns the sanitizer ledger ids of the queue-head messages
-// that could satisfy r's pending wildcard receive, in source order.
+// that could satisfy r's pending wildcard receive, in source order. It
+// collects them from the pending list and sorts by source, so it costs
+// O(pending log pending) rather than a lookup per possible source.
 func (e *engine) anyCandidates(r *rankState) []int {
-	var ids []int
-	for s := range e.ranks {
-		if q := r.mail[mailKey(s, r.wantTag)]; q != nil && q.Len() > 0 {
-			ids = append(ids, q.Peek().sid)
+	var heads []*message
+	for _, q := range r.pending {
+		if m := q.Peek(); m.tag == r.wantTag {
+			heads = append(heads, m)
 		}
+	}
+	slices.SortFunc(heads, func(a, b *message) int { return cmp.Compare(a.src, b.src) })
+	ids := make([]int, len(heads))
+	for i, m := range heads {
+		ids[i] = m.sid
 	}
 	return ids
 }
@@ -917,17 +923,14 @@ func (e *engine) send(r *rankState, dst, tag int, bytes float64, data []float64)
 	}
 	d := e.ranks[dst]
 	k := mailKey(r.id, tag)
-	q := d.mail[k]
-	if q == nil {
-		q = e.scr.newMsgq()
-		d.mail[k] = q
-	}
-	newHead := q.Len() == 0
+	i := d.box(k)
+	newHead := i < 0
 	if newHead {
-		q.pos = int32(len(d.pending))
-		d.pending = append(d.pending, q)
+		i = len(d.pending)
+		d.pending = append(d.pending, e.scr.newMsgq())
+		d.pkeys = append(d.pkeys, k)
 	}
-	q.Push(m)
+	d.pending[i].Push(m)
 	// Only directed receivers wake eagerly; wildcard receives stay parked
 	// until pickReady proves their earliest candidate is globally minimal
 	// (see pickReady), which keeps the match independent of send order.
@@ -958,18 +961,20 @@ func (e *engine) send(r *rankState, dst, tag int, bytes float64, data []float64)
 // picks the earliest arrival (ties to the lowest source rank) for
 // determinism.
 func (e *engine) match(r *rankState, src, tag int) *message {
-	var q *msgq
+	var i int
 	if src == AnySource {
-		q = e.anyBox(r, tag)
+		i = e.anyBox(r, tag)
 	} else {
-		q = r.mail[mailKey(src, tag)]
+		i = r.box(mailKey(src, tag))
 	}
-	if q == nil || q.Len() == 0 {
+	if i < 0 {
 		return nil
 	}
-	m := q.Pop() // drained queues keep their storage for the next send
+	q := r.pending[i]
+	m := q.Pop()
 	if q.Len() == 0 {
-		r.unpend(q)
+		r.unpend(i)
+		e.scr.freeMsgq(q) // a drained queue keeps its storage for the next box
 	}
 	if e.san != nil {
 		e.san.Match(m.sid, r.id)
@@ -977,14 +982,26 @@ func (e *engine) match(r *rankState, src, tag int) *message {
 	return m
 }
 
-// unpend swap-deletes a just-drained mailbox from r's pending list.
-func (r *rankState) unpend(q *msgq) {
+// box returns the index in r.pending of r's mailbox for key k, or -1 when
+// no mail for k is queued.
+func (r *rankState) box(k uint64) int {
+	for i, pk := range r.pkeys {
+		if pk == k {
+			return i
+		}
+	}
+	return -1
+}
+
+// unpend swap-deletes the just-drained mailbox at index i from r's pending
+// list, keeping pkeys in step.
+func (r *rankState) unpend(i int) {
 	last := len(r.pending) - 1
-	moved := r.pending[last]
-	moved.pos = q.pos
-	r.pending[q.pos] = moved
+	r.pending[i] = r.pending[last]
+	r.pkeys[i] = r.pkeys[last]
 	r.pending[last] = nil
 	r.pending = r.pending[:last]
+	r.pkeys = r.pkeys[:last]
 }
 
 // release returns a fully consumed message to the pool. Callers must have
